@@ -12,7 +12,6 @@ from .core import DomainError, LaurentPoly, as_matrix, laurent_close
 from .chebyshev import cheb_eval, cheb_preimage, cheb_roots
 from .normal_form import (
     NormalForm,
-    angle_from_overlap,
     canonical_matrix,
     column_norms,
     column_overlap,
@@ -63,7 +62,6 @@ __all__ = [
     "NormalForm",
     "RootReport",
     "TrigPoly",
-    "angle_from_overlap",
     "arc_membership",
     "as_matrix",
     "brute_force_coeffs",

@@ -7,22 +7,13 @@ its closed forms and root pullbacks.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .core import DomainError
+from .core import CLUSTER_TOL, DomainError, check_degree
 
 __all__ = ["cheb_eval", "cheb_preimage", "cheb_roots"]
-
-# Distinct preimages closer than this collapse into one root with multiplicity.
-_CLUSTER_TOL = 1e-9
-
-
-def _check_order(n: int):
-    if n < 1:
-        raise ValueError("polynomial order must be a positive integer")
 
 
 def cheb_eval(n: int, x):
@@ -33,7 +24,7 @@ def cheb_eval(n: int, x):
     T_{k+1} = 2 x T_k - T_{k-1}. Real input yields a float, complex input a
     complex.
     """
-    _check_order(n)
+    check_degree(n)
     if isinstance(x, complex):
         if x.imag == 0.0 and abs(x.real) <= 1.0:
             return complex(math.cos(n * math.acos(x.real)))
@@ -48,22 +39,9 @@ def cheb_eval(n: int, x):
     return t_cur
 
 
-def _factor_pair_eval(n: int, x) -> complex:
-    """T_n as the average of the two characteristic-factor powers.
-
-    With s = sqrt(x^2 - 1), the factors x + s and x - s multiply to 1 and
-    T_n(x) = ((x+s)^n + (x-s)^n) / 2. Kept as an independent representation
-    for the test suite; `cheb_eval` is the production path.
-    """
-    _check_order(n)
-    xc = complex(x)
-    s = cmath.sqrt(xc * xc - 1.0)
-    return 0.5 * ((xc + s) ** n + (xc - s) ** n)
-
-
 def cheb_roots(n: int) -> np.ndarray:
     """The n simple roots of T_n, ascending in (-1, 1)."""
-    _check_order(n)
+    check_degree(n)
     return np.array([math.cos((2 * j - 1) * math.pi / (2 * n)) for j in range(n, 0, -1)])
 
 
@@ -78,7 +56,7 @@ def cheb_preimage(n: int, s: float) -> list[tuple[float, int]]:
 
     Returns a list of (root, multiplicity) pairs, roots ascending.
     """
-    _check_order(n)
+    check_degree(n)
     s = float(s)
     if abs(s) > 1.0:
         raise DomainError("level must lie in [-1, 1]")
@@ -87,7 +65,7 @@ def cheb_preimage(n: int, s: float) -> list[tuple[float, int]]:
     out: list[tuple[float, int]] = []
     cluster = [vals[0]]
     for v in vals[1:]:
-        if v - cluster[-1] <= _CLUSTER_TOL:
+        if v - cluster[-1] <= CLUSTER_TOL:
             cluster.append(v)
         else:
             out.append((sum(cluster) / len(cluster), len(cluster)))

@@ -16,8 +16,9 @@ are printed with 17 significant digits so they re-parse bit-faithfully.
 Identical invocations produce byte-identical documents.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (non-generic matrix,
-angle out of range, angle at pi/4 for roots), 4 --verify disagreement. The
-environment variable TRACE_LAURENT_TOL overrides the default --verify
+angle out of range, coefficients beyond double range, or for roots, trig and
+comb an angle at pi/4, meaning cos 2 theta < 1e-9), 4 --verify disagreement.
+The environment variable TRACE_LAURENT_TOL overrides the default --verify
 comparison tolerance 1e-10.
 """
 
@@ -34,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .core import DomainError, LaurentPoly, laurent_close
+from .core import VERIFY_TOL, DomainError, LaurentPoly, laurent_close
 from .family import (
     DegreeCapError,
     brute_force_coeffs,
@@ -49,12 +50,24 @@ from .trig import comb_height, comb_map, interval_system, trig_coeffs, trig_root
 __all__ = ["main", "run"]
 
 SCHEMA_VERSION = "1"
-_DEFAULT_TOL = 1e-10
 _ANGLE_TOKENS = {
     "pi/4": math.pi / 4,
     "pi/6": math.pi / 6,
     "pi/8": math.pi / 8,
     "pi/16": math.pi / 16,
+}
+
+# The CSV columns of each command. Every handler returns (inputs, data,
+# records), one record per CSV row with its cells in this order; where a
+# JSON list has the same fields, its entries are built from the records too.
+_COLUMNS = {
+    "coeffs": ("k", "re", "im"),
+    "normal-form": ("R", "rho", "theta", "a_re", "a_im"),
+    "roots": ("re", "im", "residual", "classification"),
+    "eval": ("closed_re", "closed_im", "coeff_re", "coeff_im", "abs_difference"),
+    "trig": ("kind", "index", "a", "b", "c"),
+    "comb": ("t", "u_re", "u_im", "residual"),
+    "sweep": ("theta", "k", "re", "im"),
 }
 
 
@@ -108,7 +121,7 @@ def _parse_matrix(text: str) -> np.ndarray:
 def _comparison_tol() -> float:
     raw = os.environ.get("TRACE_LAURENT_TOL")
     if raw is None:
-        return _DEFAULT_TOL
+        return VERIFY_TOL
     try:
         value = float(raw)
     except ValueError:
@@ -126,21 +139,12 @@ def _matrix_json(mat) -> list:
     return [[_cjson(complex(mat[i, j])) for j in range(2)] for i in range(2)]
 
 
-def _envelope(command: str, inputs: dict, data: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "data": data,
-    }
+def _entries(command: str, records) -> list[dict]:
+    return [dict(zip(_COLUMNS[command], record)) for record in records]
 
 
-def _f(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _coeff_rows(poly: LaurentPoly) -> list[list[str]]:
-    return [[str(k), _f(v.real), _f(v.imag)] for k, v in poly.terms()]
+def _coeff_records(poly: LaurentPoly) -> list[tuple]:
+    return [(k, v.real, v.imag) for k, v in poly.terms()]
 
 
 def _cmd_coeffs(args):
@@ -148,31 +152,25 @@ def _cmd_coeffs(args):
     if args.verify and args.theta is None:
         raise ValueError("--verify requires --theta (the cross-check pair is trace vs closed form)")
     n = args.n
-    if args.theta is not None:
-        mat = canonical_matrix(args.theta)
-        if args.method == "trace":
-            poly = trace_power_coeffs(n, mat)
-        elif args.method == "brute":
-            poly = brute_force_coeffs(n, mat)
-        else:
-            poly = closed_form_coeffs(n, args.theta)
-        if args.verify:
-            trace_poly = trace_power_coeffs(n, mat)
-            closed_poly = closed_form_coeffs(n, args.theta)
-            if not laurent_close(trace_poly, closed_poly, tol):
-                raise _VerifyMismatch(
-                    f"trace and closed-form coefficient tables disagree beyond tolerance {tol}"
-                )
+    mat = args.matrix if args.theta is None else canonical_matrix(args.theta)
+    if args.method == "trace":
+        poly = trace_power_coeffs(n, mat)
+    elif args.method == "brute":
+        poly = brute_force_coeffs(n, mat)
+    elif args.theta is not None:
+        poly = closed_form_coeffs(n, args.theta)
     else:
-        if args.method == "trace":
-            poly = trace_power_coeffs(n, args.matrix)
-        elif args.method == "brute":
-            poly = brute_force_coeffs(n, args.matrix)
-        else:
-            nf = normal_form(args.matrix)
-            base = closed_form_coeffs(n, nf.angle)
-            exponents = np.arange(-n, n + 1)
-            poly = LaurentPoly(n, base.coeffs * nf.scale ** n * nf.dilation ** exponents)
+        nf = normal_form(mat)
+        base = closed_form_coeffs(n, nf.angle)
+        exponents = np.arange(-n, n + 1)
+        poly = LaurentPoly(n, base.coeffs * nf.scale ** n * nf.dilation ** exponents)
+    if args.verify:
+        trace_poly = poly if args.method == "trace" else trace_power_coeffs(n, mat)
+        closed_poly = poly if args.method == "closed" else closed_form_coeffs(n, args.theta)
+        if not laurent_close(trace_poly, closed_poly, tol):
+            raise _VerifyMismatch(
+                f"trace and closed-form coefficient tables disagree beyond tolerance {tol}"
+            )
     inputs = {
         "n": n,
         "theta": None if args.theta is None else float(args.theta),
@@ -180,23 +178,15 @@ def _cmd_coeffs(args):
         "method": args.method,
         "verify": bool(args.verify),
     }
-    data = {"coefficients": [{"k": k, "re": v.real, "im": v.imag} for k, v in poly.terms()]}
-    return _envelope("coeffs", inputs, data), ["k", "re", "im"], _coeff_rows(poly)
+    records = _coeff_records(poly)
+    return inputs, {"coefficients": _entries("coeffs", records)}, records
 
 
 def _cmd_normal_form(args):
     nf = normal_form(args.matrix)
-    inputs = {"matrix": _matrix_json(args.matrix)}
-    data = {
-        "R": float(nf.scale),
-        "rho": float(nf.dilation),
-        "theta": float(nf.angle),
-        "a_re": float(nf.phase.real),
-        "a_im": float(nf.phase.imag),
-    }
-    header = ["R", "rho", "theta", "a_re", "a_im"]
-    rows = [[_f(data["R"]), _f(data["rho"]), _f(data["theta"]), _f(data["a_re"]), _f(data["a_im"])]]
-    return _envelope("normal-form", inputs, data), header, rows
+    record = (float(nf.scale), float(nf.dilation), float(nf.angle),
+              float(nf.phase.real), float(nf.phase.imag))
+    return {"matrix": _matrix_json(args.matrix)}, _entries("normal-form", [record])[0], [record]
 
 
 def _cmd_roots(args):
@@ -210,68 +200,55 @@ def _cmd_roots(args):
         report = matrix_roots(n, args.matrix)
         angle = nf.angle
         dilation = nf.dilation
-    entries = []
-    for z, res in zip(report.roots, report.residuals):
-        # Arc classification is defined on the unit circle; scaled roots are
-        # classified through their canonical counterparts.
-        label = arc_membership(complex(z) * dilation, angle)
-        entries.append({"re": float(z.real), "im": float(z.imag),
-                        "residual": float(res), "classification": label})
+    # Arc classification is defined on the unit circle; scaled roots are
+    # classified through their canonical counterparts.
+    records = [
+        (float(z.real), float(z.imag), float(res), arc_membership(complex(z) * dilation, angle))
+        for z, res in zip(report.roots, report.residuals)
+    ]
     inputs = {
         "n": n,
         "theta": None if args.theta is None else float(args.theta),
         "matrix": None if args.matrix is None else _matrix_json(args.matrix),
     }
-    data = {"roots": entries, "min_pairwise_gap": float(report.min_pairwise_gap)}
-    rows = [[_f(e["re"]), _f(e["im"]), _f(e["residual"]), e["classification"]] for e in entries]
-    return _envelope("roots", inputs, data), ["re", "im", "residual", "classification"], rows
+    data = {"roots": _entries("roots", records), "min_pairwise_gap": float(report.min_pairwise_gap)}
+    return inputs, data, records
 
 
 def _cmd_eval(args):
-    closed = closed_form_eval(args.n, args.theta, args.z)
+    closed = complex(closed_form_eval(args.n, args.theta, args.z))
     by_coeffs = trace_power_coeffs(args.n, canonical_matrix(args.theta)).eval(args.z)
-    closed = complex(closed)
-    diff = abs(closed - by_coeffs)
+    diff = float(abs(closed - by_coeffs))
     inputs = {"n": args.n, "theta": float(args.theta), "z": _cjson(args.z)}
     data = {
         "closed_form": _cjson(closed),
         "coefficient_eval": _cjson(by_coeffs),
-        "abs_difference": float(diff),
+        "abs_difference": diff,
     }
-    header = ["closed_re", "closed_im", "coeff_re", "coeff_im", "abs_difference"]
-    rows = [[_f(closed.real), _f(closed.imag), _f(by_coeffs.real), _f(by_coeffs.imag), _f(diff)]]
-    return _envelope("eval", inputs, data), header, rows
+    return inputs, data, [(closed.real, closed.imag, by_coeffs.real, by_coeffs.imag, diff)]
 
 
 def _cmd_trig(args):
     n, theta = args.n, args.theta
-    tp = trig_coeffs(n, theta)
-    roots = trig_roots(n, theta)
+    coeffs = [float(v) for v in trig_coeffs(n, theta).cos_coeffs]
+    roots = [float(t) for t in trig_roots(n, theta)]
     levels = unit_level_roots(n, theta)
-    system = interval_system(theta, -1, 1)
-    intervals = system.intervals()
-    inputs = {"n": n, "theta": float(theta)}
+    intervals = list(zip(range(-1, 2), interval_system(theta, -1, 1).intervals()))
     data = {
-        "cos_coefficients": [{"k": k, "value": float(v)} for k, v in enumerate(tp.cos_coeffs)],
-        "roots": [float(t) for t in roots],
+        "cos_coefficients": [{"k": k, "value": v} for k, v in enumerate(coeffs)],
+        "roots": roots,
         "unit_level_roots": [
             {"t": float(t), "level": level, "multiplicity": mult} for t, level, mult in levels
         ],
-        "intervals": [
-            {"p": p, "lo": float(lo), "hi": float(hi)}
-            for p, (lo, hi) in zip(range(-1, 2), intervals)
-        ],
+        "intervals": [{"p": p, "lo": float(lo), "hi": float(hi)} for p, (lo, hi) in intervals],
     }
-    rows = []
-    for k, v in enumerate(tp.cos_coeffs):
-        rows.append(["coeff", str(k), _f(v), "", ""])
-    for j, t in enumerate(roots):
-        rows.append(["root", str(j), _f(t), "", ""])
-    for j, (t, level, mult) in enumerate(levels):
-        rows.append(["unit_level_root", str(j), _f(t), str(level), str(mult)])
-    for p, (lo, hi) in zip(range(-1, 2), intervals):
-        rows.append(["interval", str(p), _f(lo), _f(hi), ""])
-    return _envelope("trig", inputs, data), ["kind", "index", "a", "b", "c"], rows
+    records = [
+        *[("coeff", k, v, "", "") for k, v in enumerate(coeffs)],
+        *[("root", j, t, "", "") for j, t in enumerate(roots)],
+        *[("unit_level_root", j, t, level, mult) for j, (t, level, mult) in enumerate(levels)],
+        *[("interval", p, lo, hi, "") for p, (lo, hi) in intervals],
+    ]
+    return {"n": n, "theta": float(theta)}, data, records
 
 
 def _cmd_comb(args):
@@ -281,18 +258,15 @@ def _cmd_comb(args):
     height = comb_height(theta)
     lo, hi = 2.0 * theta, math.pi - 2.0 * theta
     c = math.cos(2.0 * theta)
-    entries = []
+    records = []
     for i in range(samples):
         # Interior grid of the period-0 interval; endpoints excluded.
         t = lo + (hi - lo) * (i + 1) / (samples + 1)
         u = comb_map(t, theta)
         residual = abs(cmath.cos(u) - math.cos(t) / c)
-        entries.append({"t": float(t), "u_re": float(u.real), "u_im": float(u.imag),
-                        "residual": float(residual)})
+        records.append((float(t), float(u.real), float(u.imag), float(residual)))
     inputs = {"theta": float(theta), "samples": samples}
-    data = {"height": float(height), "samples": entries}
-    rows = [[_f(e["t"]), _f(e["u_re"]), _f(e["u_im"]), _f(e["residual"])] for e in entries]
-    return _envelope("comb", inputs, data), ["t", "u_re", "u_im", "residual"], rows
+    return inputs, {"height": float(height), "samples": _entries("comb", records)}, records
 
 
 def _cmd_sweep(args):
@@ -304,18 +278,12 @@ def _cmd_sweep(args):
     else:
         thetas = [j * (math.pi / 4) / (grid - 1) for j in range(grid)]
     tables = []
-    rows = []
+    records = []
     for theta in thetas:
-        poly = closed_form_coeffs(n, theta)
-        tables.append({
-            "theta": float(theta),
-            "coefficients": [{"k": k, "re": v.real, "im": v.imag} for k, v in poly.terms()],
-        })
-        for k, v in poly.terms():
-            rows.append([_f(theta), str(k), _f(v.real), _f(v.imag)])
-    inputs = {"n": n, "theta_grid": grid}
-    data = {"tables": tables}
-    return _envelope("sweep", inputs, data), ["theta", "k", "re", "im"], rows
+        table = _coeff_records(closed_form_coeffs(n, theta))
+        tables.append({"theta": float(theta), "coefficients": _entries("coeffs", table)})
+        records.extend((theta, *record) for record in table)
+    return {"n": n, "theta_grid": grid}, {"tables": tables}, records
 
 
 _DISPATCH = {
@@ -385,12 +353,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_csv(envelope: dict, header: list[str], rows: list[list[str]]) -> str:
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return format(float(value), ".17g")
+
+
+def _render_csv(command: str, records) -> str:
     buf = io.StringIO()
-    buf.write(f"# schema_version={envelope['schema_version']} command={envelope['command']}\n")
+    buf.write(f"# schema_version={SCHEMA_VERSION} command={command}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(_COLUMNS[command])
+    writer.writerows([_cell(value) for value in record] for record in records)
     return buf.getvalue()
 
 
@@ -402,7 +378,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        envelope, header, rows = _DISPATCH[args.command](args)
+        inputs, data, records = _DISPATCH[args.command](args)
     except _VerifyMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -416,8 +392,14 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":
-        sys.stdout.write(_render_csv(envelope, header, rows))
+        sys.stdout.write(_render_csv(args.command, records))
     else:
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": inputs,
+            "data": data,
+        }
         sys.stdout.write(json.dumps(envelope, indent=2) + "\n")
     return 0
 

@@ -1,16 +1,64 @@
-"""Shared value types: 2x2 complex matrices and dense Laurent coefficient vectors."""
+"""Shared value types, domain validators and named tolerances.
+
+Holds 2x2 complex matrices, dense Laurent coefficient vectors, the one
+validator per input domain (degree, closed angle, open angle, unit phase) and
+every numerical tolerance of the package. The validators and tolerances stay
+out of `__all__`; the other modules import them by name.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["DomainError", "LaurentPoly", "as_matrix", "laurent_close"]
 
+# Tolerances. No other module holds a float literal below 1e-6.
+# An angle counts as pi/4 when cos(2 theta) falls below QUARTER_TURN_EPS, that
+# is within ~5e-10 of pi/4; the closed form's rank-one switch, the open-angle
+# validator and matrix_roots all read this one edge.
+QUARTER_TURN_EPS = 1e-9
+ANGLE_SLACK = 1e-12  # rounding slack above pi/4 in the closed-angle validator
+UNIT_PHASE_TOL = 1e-12  # allowed deviation of |phase| from 1
+UNIT_COLUMN_TOL = 1e-9  # allowed deviation of a column norm from 1 in column_overlap
+PSD_TOL = 1e-10  # anti-Hermitian part and negative eigenvalue slack in psd_sqrt
+MIN_COLUMN_NORM = 1e-300  # a column counts as nonzero above this norm
+CLUSTER_TOL = 1e-9  # Chebyshev preimages closer than this merge into one root
+BAND_EDGE_TOL = 1e-12  # a Chebyshev level root this close to +-1 is a band endpoint
+BOUNDARY_TOL = 1e-10  # off-circle and arc-endpoint slack in arc_membership
+VERIFY_TOL = 1e-10  # default comparison tolerance of the CLI's --verify
+
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
+
+
+def check_degree(n: int):
+    if n < 1:
+        raise ValueError("degree n must be a positive integer")
+
+
+def at_quarter_turn(theta: float) -> bool:
+    """True when the angle counts as pi/4: cos(2 theta) < QUARTER_TURN_EPS."""
+    return math.cos(2.0 * theta) < QUARTER_TURN_EPS
+
+
+def check_angle(theta: float):
+    if not 0.0 <= theta <= math.pi / 4 + ANGLE_SLACK:
+        raise DomainError("angle must lie in [0, pi/4]")
+
+
+def check_open_angle(theta: float):
+    # The arcs close up and the pullback degenerates at the quarter turn.
+    if not 0.0 <= theta < math.pi / 4 or at_quarter_turn(theta):
+        raise DomainError("angle must lie in [0, pi/4)")
+
+
+def check_unit_phase(phase: complex):
+    if abs(abs(phase) - 1.0) > UNIT_PHASE_TOL:
+        raise ValueError("phase must have unit magnitude")
 
 
 def as_matrix(mat) -> np.ndarray:
@@ -41,8 +89,7 @@ class LaurentPoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("degree bound n must be a positive integer")
+        check_degree(self.n)
         arr = np.array(self.coeffs, dtype=complex)
         if arr.shape != (2 * self.n + 1,):
             raise ValueError(

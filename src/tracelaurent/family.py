@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import cheb_eval
-from .core import DomainError, LaurentPoly, as_matrix
+from .core import DomainError, LaurentPoly, as_matrix, at_quarter_turn, check_angle, check_degree
 
 __all__ = [
     "DegreeCapError",
@@ -35,25 +35,12 @@ __all__ = [
     "transfer_matrix",
 ]
 
-# Below this value of cos(2 theta) the closed form switches to its rank-one
-# limit (z + 1/z)^n; the threshold matches an angle within ~5e-10 of pi/4.
-_QUARTER_TURN_EPS = 1e-9
 _BRUTE_FORCE_CAP = 24
 _BLOCK_BITS = 16
 
 
 class DegreeCapError(RuntimeError):
     """Brute-force enumeration requested beyond the supported degree."""
-
-
-def _check_degree(n: int):
-    if n < 1:
-        raise ValueError("degree n must be a positive integer")
-
-
-def _check_angle(theta: float):
-    if not 0.0 <= theta <= math.pi / 4 + 1e-12:
-        raise DomainError("angle must lie in [0, pi/4]")
 
 
 def transfer_matrix(z, mat) -> np.ndarray:
@@ -87,18 +74,23 @@ def trace_power_coeffs(n: int, mat) -> LaurentPoly:
 
     Entries of S have exponent support {-1, +1}, so every entry of S^k is
     supported on one parity class; off-parity coefficients stay exactly zero
-    through the convolutions.
+    through the convolutions. A table beyond double range raises a
+    DomainError naming the degree.
     """
-    _check_degree(n)
+    check_degree(n)
     m = as_matrix(mat)
     p1, p2 = _column_projections(m)
     base = np.zeros((2, 2, 3), dtype=complex)
     base[:, :, 2] = p1
     base[:, :, 0] = p2
     acc = base
-    for _ in range(n - 1):
-        acc = _poly_mat_mul(acc, base)
-    return LaurentPoly(n, acc[0, 0] + acc[1, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n - 1):
+            acc = _poly_mat_mul(acc, base)
+        coeffs = acc[0, 0] + acc[1, 1]
+    if not np.all(np.isfinite(coeffs)):
+        raise DomainError(f"trace-power coefficients of degree {n} overflow double range")
+    return LaurentPoly(n, coeffs)
 
 
 def brute_force_coeffs(n: int, mat) -> LaurentPoly:
@@ -111,7 +103,7 @@ def brute_force_coeffs(n: int, mat) -> LaurentPoly:
     The n=4 cross-check that exactly binomial(4, 3) sequences land on
     exponent 2 lives in the test suite.
     """
-    _check_degree(n)
+    check_degree(n)
     if n > _BRUTE_FORCE_CAP:
         raise DegreeCapError(f"oracle degree cap: n must be <= {_BRUTE_FORCE_CAP}")
     m = as_matrix(mat)
@@ -142,15 +134,15 @@ def closed_form_eval(n: int, theta: float, z) -> complex:
     At angle 0 this reduces to z^n + z^-n; within rounding reach of pi/4 the
     rank-one limit (z + 1/z)^n is dispatched explicitly.
     """
-    _check_degree(n)
-    _check_angle(theta)
+    check_degree(n)
+    check_angle(theta)
     z = complex(z)
     if z == 0:
         raise DomainError("evaluation requires z != 0")
     w = z + 1.0 / z
-    c = math.cos(2.0 * theta)
-    if c < _QUARTER_TURN_EPS:
+    if at_quarter_turn(theta):
         return w ** n
+    c = math.cos(2.0 * theta)
     return 2.0 * c ** n * cheb_eval(n, w / (2.0 * c))
 
 
@@ -162,10 +154,9 @@ def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
     expansion. Odd-parity slots are structural zeros and are pinned to exact
     zero after the expansion.
     """
-    _check_degree(n)
-    _check_angle(theta)
-    c = math.cos(2.0 * theta)
-    if c < _QUARTER_TURN_EPS:
+    check_degree(n)
+    check_angle(theta)
+    if at_quarter_turn(theta):
         coeffs = np.zeros(2 * n + 1, dtype=complex)
         coeffs[::2] = [math.comb(n, j) for j in range(n + 1)]
         return LaurentPoly(n, coeffs)
@@ -199,7 +190,7 @@ def eigen_split(z, theta: float) -> EigenPair:
 
     The family value is lambda1^n + lambda2^n.
     """
-    _check_angle(theta)
+    check_angle(theta)
     z = complex(z)
     if z == 0:
         raise DomainError("eigenvalue split requires z != 0")

@@ -5,7 +5,8 @@ the whole trace-power family, to three real parameters:
 
   scale     product of the two column norms,
   dilation  ratio of the two column norms,
-  angle     half the arcsine of the column overlap magnitude, in [0, pi/4].
+  angle     half the angle whose sine is the column overlap magnitude and
+            whose cosine is |det| of the unit-column matrix, in [0, pi/4].
 
 The canonical representative for an angle is the symmetric unit-column matrix
 [[cos a, sin a], [sin a, cos a]], obtained as the positive square root of the
@@ -20,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, as_matrix
+from .core import MIN_COLUMN_NORM, PSD_TOL, UNIT_COLUMN_TOL
+from .core import DomainError, as_matrix, check_angle, check_unit_phase
 
 __all__ = [
     "NormalForm",
-    "angle_from_overlap",
     "canonical_matrix",
     "column_norms",
     "column_overlap",
@@ -35,10 +36,6 @@ __all__ = [
     "psd_sqrt",
 ]
 
-# A column counts as nonzero when its norm exceeds this; no relative threshold.
-_MIN_COLUMN_NORM = 1e-300
-_QUARTER = math.pi / 4
-
 
 def _norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(m) ** 2, axis=0))
@@ -47,14 +44,14 @@ def _norms(m: np.ndarray) -> np.ndarray:
 def is_generic(mat) -> bool:
     """True when both columns are nonzero in double precision."""
     norms = _norms(as_matrix(mat))
-    return bool(norms[0] > _MIN_COLUMN_NORM and norms[1] > _MIN_COLUMN_NORM)
+    return bool(norms[0] > MIN_COLUMN_NORM and norms[1] > MIN_COLUMN_NORM)
 
 
 def column_norms(mat) -> tuple[float, float]:
     """Euclidean norms of the two columns of a generic matrix."""
     m = as_matrix(mat)
     norms = _norms(m)
-    if not (norms[0] > _MIN_COLUMN_NORM and norms[1] > _MIN_COLUMN_NORM):
+    if not (norms[0] > MIN_COLUMN_NORM and norms[1] > MIN_COLUMN_NORM):
         raise DomainError("non-generic matrix: a column is zero")
     return float(norms[0]), float(norms[1])
 
@@ -80,7 +77,7 @@ def column_overlap(mat) -> complex:
     """
     m = as_matrix(mat)
     norms = _norms(m)
-    if np.max(np.abs(norms - 1.0)) > 1e-9:
+    if np.max(np.abs(norms - 1.0)) > UNIT_COLUMN_TOL:
         raise ValueError("columns must be unit length (apply normalize_columns first)")
     return complex(np.vdot(m[:, 0], m[:, 1]))
 
@@ -94,33 +91,18 @@ def psd_sqrt(mat) -> np.ndarray:
     tolerance are rejected; the zero matrix maps to itself.
     """
     m = as_matrix(mat)
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
+    if np.max(np.abs(m - m.conj().T)) > PSD_TOL:
         raise DomainError("not PSD: matrix is not Hermitian")
     tr = float((m[0, 0] + m[1, 1]).real)
     det = float((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real)
     disc = max(tr * tr / 4.0 - det, 0.0)
-    if tr / 2.0 - math.sqrt(disc) < -1e-10:
+    if tr / 2.0 - math.sqrt(disc) < -PSD_TOL:
         raise DomainError("not PSD: negative eigenvalue")
     root_det = math.sqrt(max(det, 0.0))
     denom_sq = tr + 2.0 * root_det
     if denom_sq <= 0.0:
         return as_matrix(np.zeros((2, 2)))
     return as_matrix((m + root_det * np.eye(2)) / math.sqrt(denom_sq))
-
-
-def angle_from_overlap(overlap) -> tuple[float, complex]:
-    """Angle in [0, pi/4] and unit phase encoding a column overlap.
-
-    The angle is half the arcsine of |overlap|; magnitudes up to 1e-12 above
-    1 are clamped (rounding slack), anything larger is a domain error. A zero
-    overlap carries the conventional phase 1.
-    """
-    overlap = complex(overlap)
-    mag = abs(overlap)
-    if mag > 1.0 + 1e-12:
-        raise DomainError(f"overlap magnitude {mag} exceeds 1")
-    phase = overlap / mag if mag > 0.0 else 1.0 + 0j
-    return 0.5 * math.asin(min(mag, 1.0)), phase
 
 
 @dataclass(frozen=True)
@@ -143,17 +125,25 @@ class NormalForm:
             raise ValueError("scale must be positive")
         if not self.dilation > 0.0:
             raise ValueError("dilation must be positive")
-        if not 0.0 <= self.angle <= _QUARTER + 1e-12:
-            raise ValueError("angle must lie in [0, pi/4]")
-        if abs(abs(self.phase) - 1.0) > 1e-12:
-            raise ValueError("phase must have unit magnitude")
+        check_angle(self.angle)
+        check_unit_phase(self.phase)
 
 
 def normal_form(mat) -> NormalForm:
-    """Reduce a generic matrix to its normal form parameters."""
+    """Reduce a generic matrix to its normal form parameters.
+
+    For the unit-column matrix U, |<u1, u2>| = sin(2 angle) and
+    |det U| = cos(2 angle), so the angle is half their atan2: accurate to
+    rounding up to pi/4, where the arcsine of the overlap alone loses half
+    the digits, and in [0, pi/4] by construction. A zero overlap carries the
+    conventional phase 1.
+    """
     unit, scale, dilation = normalize_columns(mat)
-    angle, phase = angle_from_overlap(column_overlap(unit))
-    return NormalForm(scale, dilation, angle, phase)
+    overlap = column_overlap(unit)
+    mag = abs(overlap)
+    det = abs(complex(unit[0, 0] * unit[1, 1] - unit[0, 1] * unit[1, 0]))
+    phase = overlap / mag if mag > 0.0 else 1.0 + 0j
+    return NormalForm(scale, dilation, 0.5 * math.atan2(mag, det), phase)
 
 
 def canonical_matrix(theta: float, phase=None) -> np.ndarray:
@@ -166,20 +156,17 @@ def canonical_matrix(theta: float, phase=None) -> np.ndarray:
     g = phase * sin(2 theta).
     """
     theta = float(theta)
-    if not 0.0 <= theta <= _QUARTER + 1e-12:
-        raise DomainError("angle must lie in [0, pi/4]")
+    check_angle(theta)
     c, s = math.cos(theta), math.sin(theta)
     if phase is None:
         return as_matrix([[c, s], [s, c]])
     phase = complex(phase)
-    if abs(abs(phase) - 1.0) > 1e-12:
-        raise ValueError("phase must have unit magnitude")
+    check_unit_phase(phase)
     return as_matrix([[c, phase * s], [phase.conjugate() * s, c]])
 
 
 def phase_unitary(a) -> np.ndarray:
     """diag(a, 1) for a unit complex a."""
     a = complex(a)
-    if abs(abs(a) - 1.0) > 1e-12:
-        raise ValueError("phase must have unit magnitude")
+    check_unit_phase(a)
     return as_matrix([[a, 0.0], [0.0, 1.0]])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, as_matrix
+from .core import BOUNDARY_TOL, DomainError, as_matrix, at_quarter_turn, check_degree, check_open_angle
 from .chebyshev import cheb_roots
 from .family import closed_form_eval, trace_power_coeffs
 from .normal_form import normal_form
@@ -29,18 +29,10 @@ __all__ = [
     "scaled_joukowski_preimage",
 ]
 
-_BOUNDARY_TOL = 1e-10
-
-
-def _check_open_angle(theta: float):
-    # The arcs close up and the map degenerates as the angle reaches pi/4.
-    if not 0.0 <= theta < math.pi / 4 - 1e-12:
-        raise DomainError("angle must lie in [0, pi/4)")
-
 
 def scaled_joukowski(z, theta: float) -> complex:
     """(z + 1/z) / (2 cos 2 theta) for nonzero z."""
-    _check_open_angle(theta)
+    check_open_angle(theta)
     z = complex(z)
     if z == 0:
         raise DomainError("map requires z != 0")
@@ -54,7 +46,7 @@ def scaled_joukowski_preimage(w, theta: float) -> tuple[complex, complex]:
     For real w with |w cos 2 theta| <= 1 they form an exact conjugate pair on
     the unit circle.
     """
-    _check_open_angle(theta)
+    check_open_angle(theta)
     w = complex(w)
     wc = w * math.cos(2.0 * theta)
     if wc.imag == 0.0 and abs(wc.real) <= 1.0:
@@ -74,19 +66,19 @@ def arc_membership(z, theta: float) -> str:
     the principal argument (or its negative) in (2 theta, pi - 2 theta)
     decides.
     """
-    _check_open_angle(theta)
+    check_open_angle(theta)
     z = complex(z)
     if z == 0:
         raise DomainError("classification requires z != 0")
-    if abs(abs(z) - 1.0) > _BOUNDARY_TOL:
+    if abs(abs(z) - 1.0) > BOUNDARY_TOL:
         return "outside"
     a = cmath.phase(z)
     lo, hi = 2.0 * theta, math.pi - 2.0 * theta
     boundary = False
     for phi, label in ((a, "open_plus"), (-a, "open_minus")):
-        if lo + _BOUNDARY_TOL < phi < hi - _BOUNDARY_TOL:
+        if lo + BOUNDARY_TOL < phi < hi - BOUNDARY_TOL:
             return label
-        if abs(phi - lo) <= _BOUNDARY_TOL or abs(phi - hi) <= _BOUNDARY_TOL:
+        if abs(phi - lo) <= BOUNDARY_TOL or abs(phi - hi) <= BOUNDARY_TOL:
             boundary = True
     return "boundary" if boundary else "outside"
 
@@ -122,9 +114,8 @@ def canonical_roots(n: int, theta: float) -> RootReport:
     Each Chebyshev root pulls back to a conjugate pair on the unit circle.
     Residuals report the closed-form magnitude at each computed root.
     """
-    if n < 1:
-        raise ValueError("degree n must be a positive integer")
-    _check_open_angle(theta)
+    check_degree(n)
+    check_open_angle(theta)
     pairs = []
     for zeta in cheb_roots(n):
         z_up, z_down = scaled_joukowski_preimage(zeta, theta)
@@ -138,16 +129,15 @@ def matrix_roots(n: int, mat) -> RootReport:
     """Roots for a generic matrix, through its normal form.
 
     The canonical roots are divided by the dilation, landing on the circle
-    whose radius is the reciprocal of the dilation. An angle at pi/4 is
-    rejected: there the polynomial degenerates
-    to (z + 1/z)^n scaled, whose roots collapse onto +-i with multiplicity n,
-    outside this module's simple-root contract. Residuals are measured
+    whose radius is the reciprocal of the dilation. An angle at pi/4 (by
+    the same edge as `canonical_roots`) is rejected: there the polynomial
+    degenerates to (z + 1/z)^n scaled, whose roots collapse onto +-i with
+    multiplicity n, outside this module's simple-root contract. Residuals are measured
     against the trace-power coefficients of the input matrix itself.
     """
-    if n < 1:
-        raise ValueError("degree n must be a positive integer")
+    check_degree(n)
     nf = normal_form(mat)
-    if nf.angle >= math.pi / 4 - 1e-9:
+    if at_quarter_turn(nf.angle):
         raise DomainError(
             "angle at pi/4: roots collapse to +-i with multiplicity n; "
             "localization requires an angle strictly below pi/4"

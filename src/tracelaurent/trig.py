@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import cheb_eval, cheb_preimage, cheb_roots
-from .core import DomainError
+from .core import BAND_EDGE_TOL, DomainError, check_degree, check_open_angle
 from .family import closed_form_coeffs
 
 __all__ = [
@@ -35,20 +35,10 @@ __all__ = [
 ]
 
 
-def _check_open_angle(theta: float):
-    if not 0.0 <= theta < math.pi / 4 - 1e-12:
-        raise DomainError("angle must lie in [0, pi/4)")
-
-
-def _check_degree(n: int):
-    if n < 1:
-        raise ValueError("degree n must be a positive integer")
-
-
 def trig_eval(n: int, theta: float, t):
     """T_n(cos t / cos 2 theta); real input gives a float, complex a complex."""
-    _check_degree(n)
-    _check_open_angle(theta)
+    check_degree(n)
+    check_open_angle(theta)
     c = math.cos(2.0 * theta)
     if isinstance(t, complex):
         return cheb_eval(n, cmath.cos(t) / c)
@@ -63,7 +53,7 @@ class TrigPoly:
     cos_coeffs: np.ndarray
 
     def __post_init__(self):
-        _check_degree(self.n)
+        check_degree(self.n)
         arr = np.array(self.cos_coeffs, dtype=float)
         if arr.shape != (self.n + 1,):
             raise ValueError(f"need {self.n + 1} cosine coefficients")
@@ -91,8 +81,8 @@ def trig_coeffs(n: int, theta: float) -> TrigPoly:
     leading coefficient is exactly 1 / cos(2 theta)^n. Parity zeros carry
     over exactly.
     """
-    _check_degree(n)
-    _check_open_angle(theta)
+    check_degree(n)
+    check_open_angle(theta)
     poly = closed_form_coeffs(n, theta)
     scale = math.cos(2.0 * theta) ** n
     cos_coeffs = np.empty(n + 1)
@@ -115,7 +105,7 @@ class IntervalSystem:
     p_max: int
 
     def __post_init__(self):
-        _check_open_angle(self.theta)
+        check_open_angle(self.theta)
         if self.p_min > self.p_max:
             raise ValueError("p_min must not exceed p_max")
 
@@ -161,8 +151,8 @@ def trig_roots(n: int, theta: float) -> np.ndarray:
     which lies strictly inside (2 theta, pi - 2 theta). All n roots are
     simple.
     """
-    _check_degree(n)
-    _check_open_angle(theta)
+    check_degree(n)
+    check_open_angle(theta)
     c = math.cos(2.0 * theta)
     return np.array([math.acos(c * zeta) for zeta in cheb_roots(n)][::-1])
 
@@ -174,17 +164,17 @@ def unit_level_roots(n: int, theta: float) -> list[tuple[float, int, int]]:
     +1 or -1. Total multiplicity is n per level, 2n per period; multiplicity
     2 occurs only at interior critical points.
     """
-    _check_degree(n)
-    _check_open_angle(theta)
+    check_degree(n)
+    check_open_angle(theta)
     c = math.cos(2.0 * theta)
     out = []
     for level in (1, -1):
         for zeta, mult in cheb_preimage(n, float(level)):
             # acos(c * zeta) can land one ulp outside the closed band when
             # zeta = +-1; those hits are exactly the band endpoints.
-            if zeta >= 1.0 - 1e-12:
+            if zeta >= 1.0 - BAND_EDGE_TOL:
                 t = 2.0 * theta
-            elif zeta <= -1.0 + 1e-12:
+            elif zeta <= -1.0 + BAND_EDGE_TOL:
                 t = math.pi - 2.0 * theta
             else:
                 t = math.acos(c * zeta)
@@ -195,7 +185,7 @@ def unit_level_roots(n: int, theta: float) -> list[tuple[float, int, int]]:
 
 def comb_height(theta: float) -> float:
     """Common height arccosh(1 / cos 2 theta) of the comb teeth."""
-    _check_open_angle(theta)
+    check_open_angle(theta)
     return math.acosh(1.0 / math.cos(2.0 * theta))
 
 
@@ -208,13 +198,14 @@ def comb_map(t, theta: float) -> complex:
     the interval system. Normalizations realized by this choice:
     u(0) = i * comb_height(theta), and u(t)/t -> 1 up the imaginary axis.
     The defining identity cos(u(t)) = Phi(t) holds for every branch choice,
-    since (V + 1/V)/2 is unchanged under V -> 1/V.
+    since (V + 1/V)/2 is unchanged under V -> 1/V. Where Phi + sqrt(Phi^2 - 1)
+    cancels (Phi < -1 and nearby), V is formed as the equal 1/(Phi - sqrt(...)).
 
     The value depends on t only through Phi, so this realization repeats with
     period 2 pi in Re t; gap segments with Phi < -1 land on the reflected
     side of their slit.
     """
-    _check_open_angle(theta)
+    check_open_angle(theta)
     c = math.cos(2.0 * theta)
     tc = complex(t)
     if tc.imag < 0.0:
@@ -226,9 +217,11 @@ def comb_map(t, theta: float) -> complex:
         root = math.sqrt(ratio * ratio - 1.0)
         if ratio >= 1.0:
             return 1j * math.log(ratio + root)
-        return 1j * cmath.log(complex(ratio + root, 0.0))
+        return 1j * cmath.log(complex(1.0 / (ratio - root), 0.0))
     w = cmath.cos(tc) / c
     q = w * w - 1.0
     if q.imag == 0.0:
         q = complex(q.real, 0.0)
-    return 1j * cmath.log(w + cmath.sqrt(q))
+    root = cmath.sqrt(q)
+    up, down = w + root, w - root
+    return 1j * cmath.log(up if abs(up) >= abs(down) else 1.0 / down)

@@ -1,5 +1,6 @@
 """First-kind Chebyshev layer: evaluation, roots, preimages of a level."""
 
+import cmath
 import math
 
 import numpy as np
@@ -7,7 +8,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tracelaurent import DomainError, cheb_eval, cheb_preimage, cheb_roots
-from tracelaurent.chebyshev import _factor_pair_eval
+
+
+def _factor_pair_eval(n: int, x) -> complex:
+    """T_n as the average of the two characteristic-factor powers.
+
+    With s = sqrt(x^2 - 1), the factors x + s and x - s multiply to 1 and
+    T_n(x) = ((x+s)^n + (x-s)^n) / 2, a representation independent of
+    `cheb_eval`'s recurrence.
+    """
+    xc = complex(x)
+    s = cmath.sqrt(xc * xc - 1.0)
+    return 0.5 * ((xc + s) ** n + (xc - s) ** n)
 
 
 class TestEval:

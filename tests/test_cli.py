@@ -6,12 +6,13 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from tracelaurent import canonical_matrix, closed_form_coeffs, trace_power_coeffs
-from tracelaurent.cli import run
+from tracelaurent.cli import _COLUMNS, run
 
 
 @pytest.fixture(autouse=True)
@@ -279,6 +280,74 @@ class TestDeterminism:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == expected
+
+
+# Each command's JSON data rearranged into its CSV records, cell for cell.
+_JSON_RECORDS = {
+    "coeffs": lambda d: [(e["k"], e["re"], e["im"]) for e in d["coefficients"]],
+    "normal-form": lambda d: [(d["R"], d["rho"], d["theta"], d["a_re"], d["a_im"])],
+    "roots": lambda d: [
+        (e["re"], e["im"], e["residual"], e["classification"]) for e in d["roots"]
+    ],
+    "eval": lambda d: [(
+        d["closed_form"]["re"], d["closed_form"]["im"],
+        d["coefficient_eval"]["re"], d["coefficient_eval"]["im"], d["abs_difference"],
+    )],
+    "trig": lambda d: [
+        *[("coeff", e["k"], e["value"], "", "") for e in d["cos_coefficients"]],
+        *[("root", j, t, "", "") for j, t in enumerate(d["roots"])],
+        *[("unit_level_root", j, e["t"], e["level"], e["multiplicity"])
+          for j, e in enumerate(d["unit_level_roots"])],
+        *[("interval", e["p"], e["lo"], e["hi"], "") for e in d["intervals"]],
+    ],
+    "comb": lambda d: [(e["t"], e["u_re"], e["u_im"], e["residual"]) for e in d["samples"]],
+    "sweep": lambda d: [
+        (table["theta"], e["k"], e["re"], e["im"])
+        for table in d["tables"] for e in table["coefficients"]
+    ],
+}
+
+
+class TestRecordsDerivedForms:
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--n", "3", "--matrix", "1+1i,0.5;-0.7,2"),
+        ("normal-form", "--matrix", "1+1i,0.5;-0.7,2"),
+        ("roots", "--n", "3", "--matrix", "1+1i,0.5;-0.7,2"),
+        ("eval", "--n", "3", "--theta", "pi/8", "--z", "0.6+0.9i"),
+        ("trig", "--n", "3", "--theta", "pi/8"),
+        ("comb", "--theta", "pi/8", "--samples", "5"),
+        ("sweep", "--n", "3", "--theta-grid", "3"),
+    ], ids=lambda argv: argv[0])
+    def test_csv_matches_declared_columns_and_json(self, capsys, argv):
+        doc = invoke_json(capsys, *argv)
+        code, out, _ = invoke(capsys, *argv, "--format", "csv")
+        assert code == 0
+        comment, header, rows = read_csv(out)
+        assert comment == f"# schema_version=1 command={argv[0]}"
+        assert tuple(header) == _COLUMNS[argv[0]]
+        expected = _JSON_RECORDS[argv[0]](doc["data"])
+        assert len(rows) == len(expected) > 0
+        for row, record in zip(rows, expected):
+            assert len(row) == len(record)
+            for cell, value in zip(row, record):
+                if isinstance(value, float):
+                    assert float(cell).hex() == value.hex()
+                elif isinstance(value, int):
+                    assert int(cell) == value
+                else:
+                    assert cell == value
+
+
+class TestOverflow:
+    def test_overflowing_table_exit_3_names_it(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(
+                capsys, "roots", "--n", "1024", "--matrix", "1+1i,0.5;-0.7,2"
+            )
+        assert code == 3
+        assert out == ""
+        assert "degree 1024 overflow" in err
 
 
 class TestUsageErrors:

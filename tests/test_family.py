@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestTraceRoute:
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):
             trace_power_coeffs(0, F6)
+
+    def test_overflow_names_degree(self):
+        # The true table holds (1e160)^8: beyond double range. The error names
+        # the degree and the overflow, and no numpy warning escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="degree 8 overflow"):
+                trace_power_coeffs(8, 1e80 * np.eye(2))
 
 
 class TestBruteForce:

@@ -8,7 +8,6 @@ import pytest
 from tracelaurent import (
     DomainError,
     NormalForm,
-    angle_from_overlap,
     canonical_matrix,
     column_norms,
     column_overlap,
@@ -112,25 +111,38 @@ class TestPsdSqrt:
 
 class TestAngle:
     def test_zero_overlap(self):
-        angle, phase = angle_from_overlap(0.0)
-        assert angle == 0.0 and phase == 1.0
+        nf = normal_form(np.diag([1.0, 2.0]))
+        assert nf.angle == 0.0 and nf.phase == 1.0
 
     def test_full_overlap(self):
-        angle, phase = angle_from_overlap(1.0)
-        assert angle == pytest.approx(math.pi / 4)
+        nf = normal_form([[1.0, 2.0], [1.0, 2.0]])
+        assert nf.angle == pytest.approx(math.pi / 4)
 
     def test_half_overlap_with_phase(self):
-        angle, phase = angle_from_overlap(0.5j)
-        assert angle == pytest.approx(math.pi / 12)
-        assert phase == pytest.approx(1j)
+        # Unit columns with <u1, u2> = 0.5i: sin(2 angle) = 1/2.
+        nf = normal_form([[1.0, 0.5j], [0.0, math.sqrt(0.75)]])
+        assert nf.angle == pytest.approx(math.pi / 12)
+        assert nf.phase == pytest.approx(1j)
 
     def test_rounding_slack_clamped(self):
-        angle, _ = angle_from_overlap(1.0 + 1e-13)
-        assert angle == pytest.approx(math.pi / 4)
+        # Parallel columns whose computed overlap magnitude rounds above 1
+        # still land in [0, pi/4], at pi/4.
+        rng = np.random.default_rng(0)
+        above_one = 0
+        for _ in range(50):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            m = np.column_stack([v, 3.0 * v])
+            unit, _, _ = normalize_columns(m)
+            above_one += abs(column_overlap(unit)) > 1.0
+            angle = normal_form(m).angle
+            assert 0.0 <= angle <= math.pi / 4
+            assert angle == pytest.approx(math.pi / 4, abs=1e-15)
+        assert above_one > 0
 
-    def test_magnitude_above_one_rejected(self):
-        with pytest.raises(DomainError):
-            angle_from_overlap(1.001)
+    @pytest.mark.parametrize("delta", [1e-3, 1e-7, 1e-9, 1e-10])
+    def test_angle_exact_near_quarter_turn(self, delta):
+        theta = math.pi / 4 - delta
+        assert normal_form(canonical_matrix(theta)).angle == pytest.approx(theta, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from tracelaurent import (
     scaled_joukowski,
     scaled_joukowski_preimage,
     trace_power_coeffs,
+    trig_roots,
 )
 from conftest import GRID8_OPEN, match_sets, random_generic_matrix
 
@@ -159,6 +160,27 @@ class TestMatrixRoots:
         poly = trace_power_coeffs(4, m)
         lead = max(abs(c) for c in poly.coeffs)
         assert report.residuals.max() <= 1e-8 * lead
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-7, 1e-9, 1e-10])
+    def test_quarter_turn_edge_shared_with_canonical_route(self, delta):
+        # One edge decides where an angle counts as pi/4: the canonical
+        # pullback, the circle restriction and the matrix route (through the
+        # normal form) all accept or all reject.
+        theta = math.pi / 4 - delta
+        calls = (
+            lambda: canonical_roots(8, theta),
+            lambda: trig_roots(8, theta),
+            lambda: matrix_roots(8, canonical_matrix(theta)),
+        )
+        outcomes = []
+        for call in calls:
+            try:
+                call()
+                outcomes.append("ok")
+            except DomainError:
+                outcomes.append("domain")
+        assert len(set(outcomes)) == 1, outcomes
+        assert outcomes[0] == ("domain" if math.cos(2 * theta) < 1e-9 else "ok")
 
     def test_rank_one_angle_rejected(self):
         mat = canonical_matrix(math.pi / 4) @ np.diag([2.0, 1.0])

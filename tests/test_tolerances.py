@@ -1,0 +1,66 @@
+"""Source guard: tolerances and domain validators live in `core` only.
+
+Every numerical edge of the package is a named constant in core's tolerance
+block (module-level UPPER_CASE assignments), and every domain validator is a
+`check_*` function in core. This test parses the package source and fails on
+a small float literal or a validator defined anywhere else.
+"""
+
+import ast
+from pathlib import Path
+
+import tracelaurent
+
+PACKAGE = Path(tracelaurent.__file__).parent
+SMALL = 1e-6
+
+
+def _modules():
+    return sorted(PACKAGE.glob("*.py"))
+
+
+def _tolerance_block(tree):
+    """Nodes of core's module-level UPPER_CASE assignments."""
+    allowed = set()
+    for stmt in tree.body:
+        if (
+            isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+            and stmt.targets[0].id.isupper()
+        ):
+            allowed.update(ast.walk(stmt))
+    return allowed
+
+
+def test_sources_found():
+    assert {"core.py", "family.py", "roots.py", "trig.py"} <= {p.name for p in _modules()}
+
+
+def test_small_float_literals_only_in_core_tolerance_block():
+    offenders = []
+    for path in _modules():
+        tree = ast.parse(path.read_text())
+        allowed = _tolerance_block(tree) if path.name == "core.py" else set()
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Constant)
+                and type(node.value) is float
+                and 0.0 < abs(node.value) < SMALL
+                and node not in allowed
+            ):
+                offenders.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not offenders, "name these tolerances in core: " + ", ".join(offenders)
+
+
+def test_validators_defined_only_in_core():
+    offenders = []
+    for path in _modules():
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                node.name.startswith("_check") or node.name.startswith("check_")
+            ):
+                offenders.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not offenders, "use core's validators: " + ", ".join(offenders)

@@ -247,6 +247,23 @@ class TestComb:
             assert comb_map(-t, theta) == pytest.approx(comb_map(t, theta))
             assert comb_map(t + 2 * math.pi, theta) == pytest.approx(comb_map(t, theta))
 
+    @pytest.mark.parametrize("delta", [1e-5, 1e-3])
+    @pytest.mark.parametrize("lift", [0.0, 0.01])
+    def test_identity_near_quarter_turn_against_mpmath(self, delta, lift):
+        # Near pi/4, Phi = cos t / cos 2 theta reaches ~-1e5 in the gaps,
+        # where Phi + sqrt(Phi^2 - 1) would cancel.
+        mpmath = pytest.importorskip("mpmath")
+        theta = math.pi / 4 - delta
+        worst = 0.0
+        with mpmath.workdps(40):
+            c = mpmath.cos(2 * mpmath.mpf(theta))
+            for t in np.linspace(-math.pi, math.pi, 200, endpoint=False) + 1j * lift:
+                u = comb_map(complex(t), theta)
+                phi = mpmath.cos(mpmath.mpc(t.real, t.imag)) / c
+                miss = abs(mpmath.cos(mpmath.mpc(u.real, u.imag)) - phi) / max(1, abs(phi))
+                worst = max(worst, float(miss))
+        assert worst <= 1e-13
+
     def test_lower_half_plane_rejected(self):
         with pytest.raises(DomainError):
             comb_map(1.0 - 0.5j, math.pi / 6)
