@@ -24,13 +24,13 @@ theta = math.pi / 6
 mat = canonical_matrix(theta)
 n = 4
 
-# Route 1: polynomial-matrix powers of the pencil itself.
+# Route 1: the Cayley-Hamilton recurrence for the power sums tr(S^k).
 by_trace = trace_power_coeffs(n, mat)
 
 # Route 2: enumerate all 2^n products of column projections.
 by_brute = brute_force_coeffs(n, mat)
 
-# Route 3: the scaled Chebyshev closed form, expanded termwise.
+# Route 3: one DFT of the scaled Chebyshev closed form at the roots of unity.
 by_closed = closed_form_coeffs(n, theta)
 
 print(f"degree {n}, angle pi/6")

@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .core import VERIFY_TOL, DomainError, LaurentPoly, laurent_close
+from .core import VERIFY_TOL, DomainError, LaurentPoly, check_double_range, laurent_close
 from .family import (
     DegreeCapError,
     brute_force_coeffs,
@@ -162,8 +162,12 @@ def _cmd_coeffs(args):
     else:
         nf = normal_form(mat)
         base = closed_form_coeffs(n, nf.angle)
-        exponents = np.arange(-n, n + 1)
-        poly = LaurentPoly(n, base.coeffs * nf.scale ** n * nf.dilation ** exponents)
+        # Log form: scale^n and dilation^k must not overflow apart.
+        with np.errstate(over="ignore", invalid="ignore"):
+            logs = n * math.log(nf.scale) + np.arange(-n, n + 1) * math.log(nf.dilation)
+            coeffs = base.coeffs * np.exp(logs)
+        check_double_range(np.isfinite(coeffs).all(), "closed-form coefficients", n)
+        poly = LaurentPoly(n, coeffs)
     if args.verify:
         trace_poly = poly if args.method == "trace" else trace_power_coeffs(n, mat)
         closed_poly = poly if args.method == "closed" else closed_form_coeffs(n, args.theta)

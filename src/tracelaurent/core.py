@@ -61,6 +61,12 @@ def check_unit_phase(phase: complex):
         raise ValueError("phase must have unit magnitude")
 
 
+def check_double_range(fits: bool, what: str, n: int):
+    # Every input is finite, so a non-finite table means it overflowed.
+    if not fits:
+        raise DomainError(f"{what} of degree {n} overflow double range")
+
+
 def as_matrix(mat) -> np.ndarray:
     """Coerce an array-like to a read-only 2x2 complex matrix.
 

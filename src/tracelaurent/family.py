@@ -5,7 +5,7 @@ P1 = c1 c1* and P2 = c2 c2* are the rank-one column projections. The family
 member of degree n is the trace of S(z)^n, a Laurent polynomial with exponent
 range -n..n. This module computes it by
 
-  trace_power_coeffs   polynomial-matrix powers of S (the defining route),
+  trace_power_coeffs   the Cayley-Hamilton recurrence for tr(S^k) (production),
   brute_force_coeffs   full enumeration of the 2^n projection products,
   closed_form_*        scaled Chebyshev closed form for canonical matrices.
 
@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chebyshev import cheb_eval
-from .core import DomainError, LaurentPoly, as_matrix, at_quarter_turn, check_angle, check_degree
+from .core import DomainError, LaurentPoly, as_matrix, at_quarter_turn, check_angle, check_degree, check_double_range
 
 __all__ = [
     "DegreeCapError",
@@ -52,45 +53,29 @@ def transfer_matrix(z, mat) -> np.ndarray:
     return as_matrix(m @ np.diag([z, 1.0 / z]) @ m.conj().T)
 
 
-def _column_projections(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c1 = m[:, :1]
-    c2 = m[:, 1:]
-    return c1 @ c1.conj().T, c2 @ c2.conj().T
-
-
-def _poly_mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Entries are dense exponent vectors; convolution adds exponent offsets.
-    la, lb = a.shape[2], b.shape[2]
-    out = np.zeros((2, 2, la + lb - 1), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for l in range(2):
-                out[i, j] += np.convolve(a[i, l], b[l, j])
-    return out
-
-
 def trace_power_coeffs(n: int, mat) -> LaurentPoly:
-    """Coefficients of tr(S(z)^n) via iterated polynomial-matrix products.
+    """Coefficients of tr(S(z)^n) by the Cayley-Hamilton recurrence.
 
-    Entries of S have exponent support {-1, +1}, so every entry of S^k is
-    supported on one parity class; off-parity coefficients stay exactly zero
-    through the convolutions. A table beyond double range raises a
-    DomainError naming the degree.
+    With a = |c1|^2, b = |c2|^2 and d = |det M|^2 = det S, the power sums
+    obey p_k = (a z + b / z) p_{k-1} - d p_{k-2}, p_0 = 2: two shifted real
+    axpys per step, off-parity slots staying exact zeros. A table beyond
+    double range raises a DomainError naming the degree.
     """
     check_degree(n)
     m = as_matrix(mat)
-    p1, p2 = _column_projections(m)
-    base = np.zeros((2, 2, 3), dtype=complex)
-    base[:, :, 2] = p1
-    base[:, :, 0] = p2
-    acc = base
     with np.errstate(over="ignore", invalid="ignore"):
+        a, b = np.sum(np.abs(m) ** 2, axis=0)
+        d = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) ** 2
+        prev, cur = np.zeros((2, 2 * n + 1))
+        prev[n] = 2.0
+        cur[n - 1], cur[n + 1] = b, a
         for _ in range(n - 1):
-            acc = _poly_mat_mul(acc, base)
-        coeffs = acc[0, 0] + acc[1, 1]
-    if not np.all(np.isfinite(coeffs)):
-        raise DomainError(f"trace-power coefficients of degree {n} overflow double range")
-    return LaurentPoly(n, coeffs)
+            prev *= -d
+            prev[1:] += a * cur[:-1]
+            prev[:-1] += b * cur[1:]
+            prev, cur = cur, prev
+    check_double_range(np.isfinite(cur).all(), "trace-power coefficients", n)
+    return LaurentPoly(n, cur)
 
 
 def brute_force_coeffs(n: int, mat) -> LaurentPoly:
@@ -107,8 +92,8 @@ def brute_force_coeffs(n: int, mat) -> LaurentPoly:
     if n > _BRUTE_FORCE_CAP:
         raise DegreeCapError(f"oracle degree cap: n must be <= {_BRUTE_FORCE_CAP}")
     m = as_matrix(mat)
-    p1, p2 = _column_projections(m)
-    stack = np.stack([p2, p1])
+    c1, c2 = m[:, :1], m[:, 1:]
+    stack = np.stack([c2 @ c2.conj().T, c1 @ c1.conj().T])
     total = 1 << n
     block = min(total, 1 << _BLOCK_BITS)
     shifts = np.arange(n)
@@ -147,32 +132,36 @@ def closed_form_eval(n: int, theta: float, z) -> complex:
 
 
 def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
-    """Coefficient table of the canonical family member by termwise expansion.
+    """Coefficient table of the canonical family member by one DFT of its values.
 
-    Expands 2^{-(n-1)} sum_j C(n, 2j) (z + 1/z)^{n-2j} (z^2 + z^-2 - 2cos 4t)^j,
-    the substitution of the half-sum argument into the even-power Chebyshev
-    expansion. Odd-parity slots are structural zeros and are pinned to exact
-    zero after the expansion.
+    The values 2 c^n T_n(x), x = cos t / c, c = cos 2 theta, are real and even
+    in t. They are sampled at the 2n+1 roots of unity in log form, as
+    2 c^n cos(n acos x) on [-1, 1] and sign(x)^n exp(n (log c +- acosh|x|))
+    summed over both signs outside, and one real DFT gives the table. Angle 0
+    and the quarter turn are exact. Samples or their DFT beyond double range
+    raise a DomainError naming the degree.
     """
     check_degree(n)
     check_angle(theta)
-    if at_quarter_turn(theta):
-        coeffs = np.zeros(2 * n + 1, dtype=complex)
-        coeffs[::2] = [math.comb(n, j) for j in range(n + 1)]
+    coeffs = np.zeros(2 * n + 1)
+    if theta == 0.0:
+        coeffs[0] = coeffs[-1] = 1.0
         return LaurentPoly(n, coeffs)
-    half_sum = np.array([1.0, 0.0, 1.0])
-    bracket = np.array([1.0, 0.0, -2.0 * math.cos(4.0 * theta), 0.0, 1.0])
-    half_sum_pows = [np.array([1.0])]
-    for _ in range(n):
-        half_sum_pows.append(np.convolve(half_sum_pows[-1], half_sum))
-    acc = np.zeros(2 * n + 1)
-    bracket_pow = np.array([1.0])
-    for j in range(n // 2 + 1):
-        # Each term spans the full exponent range -n..n: (n-2j) + 2j = n.
-        acc += math.comb(n, 2 * j) * np.convolve(half_sum_pows[n - 2 * j], bracket_pow)
-        bracket_pow = np.convolve(bracket_pow, bracket)
-    acc *= 0.5 ** (n - 1)
-    coeffs = acc.astype(complex)
+    if at_quarter_turn(theta):
+        row = [math.comb(n, j) for j in range(n + 1)]
+        check_double_range(row[n // 2] <= sys.float_info.max, "closed-form coefficients", n)
+        coeffs[::2] = row
+        return LaurentPoly(n, coeffs)
+    c = math.cos(2.0 * theta)
+    size = 2 * n + 1
+    x = np.cos(2.0 * np.pi * np.arange(size) / size) / c
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = np.arccosh(np.maximum(np.abs(x), 1.0))
+        samples = np.exp(n * (math.log(c) + alpha)) + np.exp(n * (math.log(c) - alpha))
+        samples *= np.cos(n * np.arccos(np.clip(x, -1.0, 1.0)))
+        half = np.fft.rfft(samples).real / size
+    check_double_range(np.isfinite(half).all(), "closed-form samples", n)
+    coeffs[:n], coeffs[n:] = half[:0:-1], half
     coeffs[1::2] = 0.0
     return LaurentPoly(n, coeffs)
 

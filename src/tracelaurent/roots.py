@@ -84,9 +84,9 @@ def arc_membership(z, theta: float) -> str:
 
 
 def _min_gap(roots: np.ndarray) -> float:
-    diffs = np.abs(roots[:, None] - roots[None, :])
-    diffs[np.diag_indices(len(roots))] = np.inf
-    return float(diffs.min())
+    # The roots lie on one circle, so the closest pair is adjacent in angle.
+    ring = roots[np.argsort(np.angle(roots))]
+    return float(np.abs(ring - np.roll(ring, 1)).min())
 
 
 @dataclass(frozen=True)

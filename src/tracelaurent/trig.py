@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import cheb_eval, cheb_preimage, cheb_roots
-from .core import BAND_EDGE_TOL, DomainError, check_degree, check_open_angle
+from .core import BAND_EDGE_TOL, DomainError, check_degree, check_double_range, check_open_angle
 from .family import closed_form_coeffs
 
 __all__ = [
@@ -79,16 +79,15 @@ def trig_coeffs(n: int, theta: float) -> TrigPoly:
     Dividing the Laurent coefficients p_k by cos(2 theta)^n: the constant
     term is p_0 / (2 c^n) and each k >= 1 coefficient is p_k / c^n, so the
     leading coefficient is exactly 1 / cos(2 theta)^n. Parity zeros carry
-    over exactly.
+    over exactly. A table beyond double range raises a DomainError.
     """
     check_degree(n)
     check_open_angle(theta)
     poly = closed_form_coeffs(n, theta)
-    scale = math.cos(2.0 * theta) ** n
-    cos_coeffs = np.empty(n + 1)
-    cos_coeffs[0] = poly[0].real / (2.0 * scale)
-    for k in range(1, n + 1):
-        cos_coeffs[k] = poly[k].real / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos_coeffs = poly.coeffs.real[n:] * np.float64(math.cos(2.0 * theta)) ** -n
+    cos_coeffs[0] /= 2.0
+    check_double_range(np.isfinite(cos_coeffs).all(), "cosine coefficients", n)
     return TrigPoly(n, cos_coeffs)
 
 

@@ -97,6 +97,10 @@ class TestCoeffs:
         code, _, _ = invoke(capsys, "coeffs", "--n", "3", "--theta", "pi/8", "--verify")
         assert code == 0
 
+    def test_verify_pass_at_moderate_degree(self, capsys):
+        code, _, err = invoke(capsys, "coeffs", "--n", "48", "--theta", "pi/16", "--verify")
+        assert code == 0, err
+
     def test_verify_mismatch_exit_4(self, capsys, monkeypatch):
         monkeypatch.setenv("TRACE_LAURENT_TOL", "1e-300")
         code, _, err = invoke(capsys, "coeffs", "--n", "2", "--theta", "pi/6", "--verify")
@@ -248,6 +252,14 @@ class TestSweepCommand:
         last = [e["re"] for e in tables[-1]["coefficients"]]
         assert last == pytest.approx([1.0, 0.0, 2.0, 0.0, 1.0])
 
+    def test_zero_angle_table_is_exact(self, capsys):
+        doc = invoke_json(capsys, "sweep", "--n", "64", "--theta-grid", "2")
+        zero = doc["data"]["tables"][0]
+        assert zero["theta"] == 0.0
+        want = [1.0 if abs(k) == 64 else 0.0 for k in range(-64, 65)]
+        assert [e["re"] for e in zero["coefficients"]] == want
+        assert all(e["im"] == 0.0 for e in zero["coefficients"])
+
     def test_csv_row_count(self, capsys):
         code, out, _ = invoke(capsys, "sweep", "--n", "2", "--theta-grid", "3", "--format", "csv")
         assert code == 0
@@ -348,6 +360,22 @@ class TestOverflow:
         assert code == 3
         assert out == ""
         assert "degree 1024 overflow" in err
+
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (("coeffs", "--n", "300", "--matrix", "1000,0;0,1000", "--method", "closed"), 300),
+            (("trig", "--n", "1024", "--theta", "0.5"), 1024),
+            (("trig", "--n", "200", "--theta", "0.7843981633974483"), 200),
+        ],
+    )
+    def test_closed_form_and_cosine_overflow_exit_3(self, capsys, argv, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"degree {n} overflow" in err
 
 
 class TestUsageErrors:

@@ -18,6 +18,7 @@ from tracelaurent import (
     trace_power_coeffs,
     trig_roots,
 )
+from tracelaurent.roots import _min_gap
 from conftest import GRID8_OPEN, match_sets, random_generic_matrix
 
 
@@ -126,6 +127,24 @@ class TestCanonicalRoots:
         roots = list(report.roots)
         assert match_sets(roots, [z.conjugate() for z in roots], 1e-12)
         assert match_sets(roots, [-z for z in roots], 1e-12)
+
+    def test_min_gap_is_pairwise_minimum(self):
+        # The report takes the gap over angle-sorted neighbours, wrap-around
+        # pair included; on one circle that is the minimum over all pairs.
+        rng = np.random.default_rng(87)
+        reports = [
+            canonical_roots(n, theta)
+            for n in (1, 2, 7, 64)
+            for theta in (1e-3, 0.3, math.pi / 4 - 1e-3)
+        ]
+        reports += [matrix_roots(n, random_generic_matrix(rng)) for n in (1, 5, 16, 64)]
+        for report in reports:
+            pairwise = np.abs(report.roots[:, None] - report.roots[None, :])
+            np.fill_diagonal(pairwise, np.inf)
+            assert report.min_pairwise_gap == pairwise.min()
+        # A closest pair that straddles the cut of the angle at -1.
+        ring = np.exp(1j * np.array([0.0, 1.0, 3.13, 2.0, -3.13]))
+        assert _min_gap(ring) == abs(ring[2] - ring[4])
 
     def test_quarter_angle_rejected(self):
         with pytest.raises(DomainError):
