@@ -166,7 +166,7 @@ def _cmd_coeffs(args):
         with np.errstate(over="ignore", invalid="ignore"):
             logs = n * math.log(nf.scale) + np.arange(-n, n + 1) * math.log(nf.dilation)
             coeffs = base.coeffs * np.exp(logs)
-        check_double_range(np.isfinite(coeffs).all(), "closed-form coefficients", n)
+        check_double_range(coeffs, "closed-form coefficients", n)
         poly = LaurentPoly(n, coeffs)
     if args.verify:
         trace_poly = poly if args.method == "trace" else trace_power_coeffs(n, mat)

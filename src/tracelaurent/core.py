@@ -61,9 +61,9 @@ def check_unit_phase(phase: complex):
         raise ValueError("phase must have unit magnitude")
 
 
-def check_double_range(fits: bool, what: str, n: int):
+def check_double_range(values, what: str, n: int):
     # Every input is finite, so a non-finite table means it overflowed.
-    if not fits:
+    if not np.isfinite(values).all():
         raise DomainError(f"{what} of degree {n} overflow double range")
 
 

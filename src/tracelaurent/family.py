@@ -74,7 +74,7 @@ def trace_power_coeffs(n: int, mat) -> LaurentPoly:
             prev[1:] += a * cur[:-1]
             prev[:-1] += b * cur[1:]
             prev, cur = cur, prev
-    check_double_range(np.isfinite(cur).all(), "trace-power coefficients", n)
+    check_double_range(cur, "trace-power coefficients", n)
     return LaurentPoly(n, cur)
 
 
@@ -137,32 +137,32 @@ def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
     The values 2 c^n T_n(x), x = cos t / c, c = cos 2 theta, are real and even
     in t. They are sampled at the 2n+1 roots of unity in log form, as
     2 c^n cos(n acos x) on [-1, 1] and sign(x)^n exp(n (log c +- acosh|x|))
-    summed over both signs outside, and one real DFT gives the table. Angle 0
-    and the quarter turn are exact. Samples or their DFT beyond double range
-    raise a DomainError naming the degree.
+    summed over both signs outside, and one real DFT gives the table. Angle 0,
+    the quarter turn and the edge coefficients 1 are exact; other entries are
+    accurate relative to the largest. Samples beyond double range raise a
+    DomainError naming the degree.
     """
     check_degree(n)
     check_angle(theta)
     coeffs = np.zeros(2 * n + 1)
-    if theta == 0.0:
-        coeffs[0] = coeffs[-1] = 1.0
-        return LaurentPoly(n, coeffs)
     if at_quarter_turn(theta):
         row = [math.comb(n, j) for j in range(n + 1)]
-        check_double_range(row[n // 2] <= sys.float_info.max, "closed-form coefficients", n)
+        if row[n // 2] > sys.float_info.max:
+            raise DomainError(f"closed-form coefficients of degree {n} overflow double range")
         coeffs[::2] = row
-        return LaurentPoly(n, coeffs)
-    c = math.cos(2.0 * theta)
-    size = 2 * n + 1
-    x = np.cos(2.0 * np.pi * np.arange(size) / size) / c
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha = np.arccosh(np.maximum(np.abs(x), 1.0))
-        samples = np.exp(n * (math.log(c) + alpha)) + np.exp(n * (math.log(c) - alpha))
-        samples *= np.cos(n * np.arccos(np.clip(x, -1.0, 1.0)))
-        half = np.fft.rfft(samples).real / size
-    check_double_range(np.isfinite(half).all(), "closed-form samples", n)
-    coeffs[:n], coeffs[n:] = half[:0:-1], half
-    coeffs[1::2] = 0.0
+    elif theta > 0.0:  # at angle 0 only the edge coefficients are nonzero
+        c = math.cos(2.0 * theta)
+        size = 2 * n + 1
+        x = np.cos(2.0 * np.pi * np.arange(size) / size) / c
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = np.arccosh(np.maximum(np.abs(x), 1.0))
+            samples = np.exp(n * (math.log(c) + alpha)) + np.exp(n * (math.log(c) - alpha))
+            samples *= np.cos(n * np.arccos(np.clip(x, -1.0, 1.0)))
+            half = np.fft.rfft(samples / size).real
+        check_double_range(half, "closed-form samples", n)
+        coeffs[:n], coeffs[n:] = half[:0:-1], half
+        coeffs[1::2] = 0.0
+    coeffs[0] = coeffs[-1] = 1.0
     return LaurentPoly(n, coeffs)
 
 

@@ -76,10 +76,10 @@ class TrigPoly:
 def trig_coeffs(n: int, theta: float) -> TrigPoly:
     """Cosine coefficients of the circle restriction.
 
-    Dividing the Laurent coefficients p_k by cos(2 theta)^n: the constant
-    term is p_0 / (2 c^n) and each k >= 1 coefficient is p_k / c^n, so the
-    leading coefficient is exactly 1 / cos(2 theta)^n. Parity zeros carry
-    over exactly. A table beyond double range raises a DomainError.
+    The Laurent coefficients p_k over c^n, c = cos(2 theta), with p_0 halved:
+    the leading one is exactly 1 / c^n, the others are accurate relative to
+    the largest. Parity zeros carry over exactly; a table beyond double
+    range raises a DomainError.
     """
     check_degree(n)
     check_open_angle(theta)
@@ -87,7 +87,7 @@ def trig_coeffs(n: int, theta: float) -> TrigPoly:
     with np.errstate(over="ignore", invalid="ignore"):
         cos_coeffs = poly.coeffs.real[n:] * np.float64(math.cos(2.0 * theta)) ** -n
     cos_coeffs[0] /= 2.0
-    check_double_range(np.isfinite(cos_coeffs).all(), "cosine coefficients", n)
+    check_double_range(cos_coeffs, "cosine coefficients", n)
     return TrigPoly(n, cos_coeffs)
 
 

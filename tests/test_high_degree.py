@@ -85,11 +85,20 @@ def test_closed_form_against_reference(theta):
         assert scaled_error(got.real, refs[n]) <= SCALED_TOL, n
 
 
-def test_closed_form_at_1024_within_double_range():
-    # The table at pi/6 peaks near 6e275; the binomial expansion overflowed here.
-    n, theta = 1024, math.pi / 6
+@pytest.mark.parametrize(
+    "theta",
+    [
+        # The table peaks near 6e275; the binomial expansion overflowed here.
+        math.pi / 6,
+        # The table peaks near 4.5e306 and the largest sample, L(1), near 1.8e308.
+        math.pi / 4 - 1e-3,
+    ],
+)
+def test_closed_form_at_1024_within_double_range(theta):
+    n = 1024
     got = closed_form_coeffs(n, theta).coeffs.real
     assert scaled_error(got, canonical_reference(theta, (n,))[n]) <= SCALED_TOL
+    assert got[0] == got[-1] == 1.0
 
 
 @pytest.mark.parametrize("n, theta", [(64, math.pi / 4 - 1e-3), (256, math.pi / 8), (512, 0.12)])
@@ -119,9 +128,9 @@ def test_trace_power_against_reference(index):
         (trig_coeffs, 1024, 0.42),
         (trig_coeffs, 200, math.pi / 4 - 1e-3),
         (closed_form_coeffs, 1100, math.pi / 4),
-        # Every coefficient fits (max ~4.5e306), but the DFT of the samples,
-        # whose largest is L(1) ~ 1.8e308, does not: the route's stated limit.
-        (closed_form_coeffs, 1024, math.pi / 4 - 1e-3),
+        # Every coefficient fits (max ~9e306), but the largest sample,
+        # L(1) ~ 3.6e308, does not: the route's stated limit.
+        (closed_form_coeffs, 1025, math.pi / 4 - 1e-3),
     ],
 )
 def test_overflow_is_named(route, n, theta):

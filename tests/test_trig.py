@@ -54,12 +54,14 @@ class TestTrigPoly:
         assert poly.cos_coeffs == pytest.approx([3.0, 0.0, 4.0], rel=1e-12)
 
     def test_leading_coefficient_is_cos_power(self):
-        for theta in (0.1, math.pi / 8, math.pi / 6):
-            for n in (1, 2, 5, 9):
-                poly = trig_coeffs(n, theta)
-                assert poly.cos_coeffs[n] == pytest.approx(
-                    1.0 / math.cos(2 * theta) ** n, rel=1e-15
-                )
+        cases = [(n, theta) for theta in (0.1, math.pi / 8, math.pi / 6) for n in (1, 2, 5, 9)]
+        # High degree: the largest entries exceed the leading one by ~1e15 and ~1e20.
+        cases += [(64, math.pi / 4 - 1e-3), (256, math.pi / 8)]
+        for n, theta in cases:
+            poly = trig_coeffs(n, theta)
+            assert poly.cos_coeffs[n] == pytest.approx(
+                1.0 / math.cos(2 * theta) ** n, rel=1e-15
+            )
 
     def test_eval_agrees_with_trig_eval(self):
         for theta in (0.05, math.pi / 8, math.pi / 6):
