@@ -35,9 +35,10 @@ import sys
 
 import numpy as np
 
-from .core import VERIFY_TOL, DomainError, LaurentPoly, check_double_range, laurent_close
+from .core import VERIFY_TOL, DomainError, LaurentPoly, laurent_close
 from .family import (
     DegreeCapError,
+    _closed_form_matrix_coeffs,
     brute_force_coeffs,
     closed_form_coeffs,
     closed_form_eval,
@@ -160,14 +161,7 @@ def _cmd_coeffs(args):
     elif args.theta is not None:
         poly = closed_form_coeffs(n, args.theta)
     else:
-        nf = normal_form(mat)
-        base = closed_form_coeffs(n, nf.angle)
-        # Log form: scale^n and dilation^k must not overflow apart.
-        with np.errstate(over="ignore", invalid="ignore"):
-            logs = n * math.log(nf.scale) + np.arange(-n, n + 1) * math.log(nf.dilation)
-            coeffs = base.coeffs * np.exp(logs)
-        check_double_range(coeffs, "closed-form coefficients", n)
-        poly = LaurentPoly(n, coeffs)
+        poly = _closed_form_matrix_coeffs(n, mat)
     if args.verify:
         trace_poly = poly if args.method == "trace" else trace_power_coeffs(n, mat)
         closed_poly = poly if args.method == "closed" else closed_form_coeffs(n, args.theta)

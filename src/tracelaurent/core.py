@@ -128,28 +128,37 @@ class LaurentPoly:
         for i, value in enumerate(self.coeffs):
             yield i - self.n, complex(value)
 
-    def eval(self, z) -> complex:
-        """Evaluate at a nonzero point.
+    def eval(self, z):
+        """Evaluate at one nonzero point or at an array of them.
 
-        Split into a non-negative-power Horner pass in z and a negative-power
-        Horner pass in 1/z, so neither large nor small |z| overflows
-        artificially.
+        A scalar z gives a complex, an array an ndarray of its shape; every
+        point must be nonzero. Split into a non-negative-power Horner pass in
+        z and a negative-power Horner pass in 1/z, so neither large nor small
+        |z| overflows artificially. Each pass steps once per coefficient over
+        all points together, in memory proportional to the number of points.
+        Values beyond double range raise a DomainError naming the degree.
         """
-        z = complex(z)
-        if z == 0:
+        shape = np.shape(z)
+        # A scalar runs as a one-point array, out of place: numpy's scalar and
+        # in-place complex products round differently from its array loop.
+        z = np.array(z, dtype=complex, ndmin=1)
+        if np.any(z == 0):
             raise DomainError("Laurent polynomial evaluation requires z != 0")
         c = self.coeffs
         n = self.n
-        pos = 0j
-        for i in range(2 * n, n - 1, -1):
-            pos = pos * z + c[i]
-        w = 1 / z
-        neg = 0j
-        for i in range(0, n):
-            neg = neg * w + c[i]
-        return pos + neg * w
+        with np.errstate(over="ignore", invalid="ignore"):
+            pos = np.full_like(z, c[2 * n])
+            for i in range(2 * n - 1, n - 1, -1):
+                pos = pos * z + c[i]
+            w = 1 / z
+            neg = np.full_like(z, c[0])
+            for i in range(1, n):
+                neg = neg * w + c[i]
+            out = pos + neg * w
+        check_double_range(out, "Laurent polynomial values", n)
+        return complex(out[0]) if shape == () else out.reshape(shape)
 
-    def __call__(self, z) -> complex:
+    def __call__(self, z):
         return self.eval(z)
 
 

@@ -22,8 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import cheb_eval
+# Not called here any more; the name stays bound because the benchmark's
+# tracer test (perfbench/tests/test_bench_tracer.py) reads family.cheb_eval.
+from .chebyshev import cheb_eval  # noqa: F401
 from .core import DomainError, LaurentPoly, as_matrix, at_quarter_turn, check_angle, check_degree, check_double_range
+from .normal_form import normal_form
 
 __all__ = [
     "DegreeCapError",
@@ -113,22 +116,49 @@ def brute_force_coeffs(n: int, mat) -> LaurentPoly:
     return LaurentPoly(n, coeffs)
 
 
-def closed_form_eval(n: int, theta: float, z) -> complex:
-    """Value of the canonical family member: 2 cos(2t)^n T_n((z + 1/z) / (2 cos 2t)).
+def _real_closed_form(n: int, c: float, x: np.ndarray) -> np.ndarray:
+    # 2 c^n T_n(x) at real x in log form, so that c^n and T_n(x) cannot over-
+    # or underflow apart: 2 c^n cos(n acos x) on [-1, 1], and outside it
+    # sign(x)^n exp(n (log c +- acosh|x|)) summed over both signs.
+    alpha = np.arccosh(np.maximum(np.abs(x), 1.0))
+    values = np.exp(n * (math.log(c) + alpha)) + np.exp(n * (math.log(c) - alpha))
+    values *= np.cos(n * np.arccos(np.clip(x, -1.0, 1.0)))
+    return values
 
-    At angle 0 this reduces to z^n + z^-n; within rounding reach of pi/4 the
-    rank-one limit (z + 1/z)^n is dispatched explicitly.
+
+def closed_form_eval(n: int, theta: float, z):
+    """Value of the canonical family member: 2 c^n T_n(x), x = (z + 1/z) / 2c, c = cos 2t.
+
+    A scalar z gives a complex, an array an ndarray of its shape; every point
+    must be nonzero. Each point costs O(1) in log form: T_n(cosh a) =
+    cosh(n a) is even in a, so 2 c^n T_n(x) = exp(n (log c + a)) +
+    exp(n (log c - a)) with a = acosh x on any branch. Where x is exactly
+    real the sign-aware real form of `closed_form_coeffs` is used, and the
+    value's imaginary part is exactly zero. Within rounding reach of pi/4
+    the rank-one limit (z + 1/z)^n is taken explicitly. Values beyond double
+    range raise a DomainError naming the degree.
     """
     check_degree(n)
     check_angle(theta)
-    z = complex(z)
-    if z == 0:
+    shape = np.shape(z)
+    z = np.array(z, dtype=complex, ndmin=1)  # a scalar runs as a one-point array
+    if np.any(z == 0):
         raise DomainError("evaluation requires z != 0")
-    w = z + 1.0 / z
-    if at_quarter_turn(theta):
-        return w ** n
-    c = math.cos(2.0 * theta)
-    return 2.0 * c ** n * cheb_eval(n, w / (2.0 * c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = z + 1.0 / z
+        real = w.imag == 0.0
+        values = np.empty_like(w)
+        if at_quarter_turn(theta):
+            values[real] = w.real[real] ** n
+            values[~real] = w[~real] ** n
+        else:
+            c = math.cos(2.0 * theta)
+            x = w / (2.0 * c)
+            values[real] = _real_closed_form(n, c, x.real[real])
+            a = np.arccosh(x[~real])
+            values[~real] = np.exp(n * (math.log(c) + a)) + np.exp(n * (math.log(c) - a))
+    check_double_range(values, "closed-form values", n)
+    return complex(values[0]) if shape == () else values.reshape(shape)
 
 
 def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
@@ -155,14 +185,28 @@ def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
         size = 2 * n + 1
         x = np.cos(2.0 * np.pi * np.arange(size) / size) / c
         with np.errstate(over="ignore", invalid="ignore"):
-            alpha = np.arccosh(np.maximum(np.abs(x), 1.0))
-            samples = np.exp(n * (math.log(c) + alpha)) + np.exp(n * (math.log(c) - alpha))
-            samples *= np.cos(n * np.arccos(np.clip(x, -1.0, 1.0)))
-            half = np.fft.rfft(samples / size).real
+            half = np.fft.rfft(_real_closed_form(n, c, x) / size).real
         check_double_range(half, "closed-form samples", n)
         coeffs[:n], coeffs[n:] = half[:0:-1], half
         coeffs[1::2] = 0.0
     coeffs[0] = coeffs[-1] = 1.0
+    return LaurentPoly(n, coeffs)
+
+
+def _closed_form_matrix_coeffs(n: int, mat) -> LaurentPoly:
+    """Closed-form table of a generic matrix, rescaled from its normal form.
+
+    The canonical table of the matrix's angle is multiplied by
+    scale^n dilation^k, formed as exp(n log scale + k log dilation) so that the
+    two factors cannot overflow apart. A table beyond double range raises a
+    DomainError naming the degree.
+    """
+    nf = normal_form(mat)
+    base = closed_form_coeffs(n, nf.angle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = n * math.log(nf.scale) + np.arange(-n, n + 1) * math.log(nf.dilation)
+        coeffs = base.coeffs * np.exp(logs)
+    check_double_range(coeffs, "closed-form coefficients", n)
     return LaurentPoly(n, coeffs)
 
 

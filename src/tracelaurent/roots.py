@@ -111,17 +111,19 @@ class RootReport:
 def canonical_roots(n: int, theta: float) -> RootReport:
     """All 2n roots of the canonical family member, by Chebyshev pullback.
 
-    Each Chebyshev root pulls back to a conjugate pair on the unit circle.
-    Residuals report the closed-form magnitude at each computed root.
+    Each Chebyshev root pulls back to a conjugate pair x +- iy on the unit
+    circle, x = cos(2 theta) times the root, y = sqrt(1 - x^2); all pairs are
+    formed at once. Residuals report the closed-form magnitude at each
+    computed root, from one evaluation over all of them.
     """
     check_degree(n)
     check_open_angle(theta)
-    pairs = []
-    for zeta in cheb_roots(n):
-        z_up, z_down = scaled_joukowski_preimage(zeta, theta)
-        pairs.extend((z_up, z_down))
-    roots = np.array(pairs)
-    residuals = np.array([abs(closed_form_eval(n, theta, z)) for z in roots])
+    x = math.cos(2.0 * theta) * cheb_roots(n)
+    y = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    roots = np.empty(2 * n, dtype=complex)
+    roots[0::2] = x + 1j * y
+    roots[1::2] = x - 1j * y
+    residuals = np.abs(closed_form_eval(n, theta, roots))
     return RootReport(roots, residuals, _min_gap(roots))
 
 
@@ -133,7 +135,8 @@ def matrix_roots(n: int, mat) -> RootReport:
     the same edge as `canonical_roots`) is rejected: there the polynomial
     degenerates to (z + 1/z)^n scaled, whose roots collapse onto +-i with
     multiplicity n, outside this module's simple-root contract. Residuals are measured
-    against the trace-power coefficients of the input matrix itself.
+    against the trace-power coefficients of the input matrix itself, in one
+    evaluation over all roots.
     """
     check_degree(n)
     nf = normal_form(mat)
@@ -144,6 +147,5 @@ def matrix_roots(n: int, mat) -> RootReport:
         )
     canonical = canonical_roots(n, nf.angle)
     roots = canonical.roots / nf.dilation
-    poly = trace_power_coeffs(n, as_matrix(mat))
-    residuals = np.array([abs(poly.eval(z)) for z in roots])
+    residuals = np.abs(trace_power_coeffs(n, as_matrix(mat)).eval(roots))
     return RootReport(roots, residuals, _min_gap(roots))

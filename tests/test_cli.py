@@ -196,6 +196,24 @@ class TestEvalCommand:
         code, _, _ = invoke(capsys, "eval", "--n", "1", "--theta", "0", "--z", "0")
         assert code == 3
 
+    def test_near_quarter_turn_prints_valid_json(self, capsys):
+        # c^n underflows and T_n overflows here when formed apart; the value
+        # L(1) = 1.79585e308 came out as NaN tokens, which JSON does not have.
+        code, out, err = invoke(capsys, "eval", "--n", "1024", "--theta", "0.7843981633974483",
+                                "--z", "1+0i")
+        assert code == 0, err
+        assert "NaN" not in out and "Infinity" not in out
+        doc = json.loads(out)
+        assert doc["data"]["closed_form"]["re"] == pytest.approx(1.79585e308, rel=1e-5)
+        assert doc["data"]["closed_form"]["im"] == 0.0
+
+    def test_value_beyond_double_range_exit_3(self, capsys):
+        code, out, err = invoke(capsys, "eval", "--n", "1100", "--theta", "0.7843981633974483",
+                                "--z", "1+0i")
+        assert code == 3
+        assert out == ""
+        assert "degree 1100 overflow" in err
+
 
 class TestTrigCommand:
     def test_json(self, capsys):

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import tracelaurent.roots
 from tracelaurent import (
     DomainError,
+    LaurentPoly,
     arc_membership,
     canonical_matrix,
     canonical_roots,
+    cheb_roots,
     closed_form_coeffs,
     matrix_roots,
     normal_form,
@@ -146,6 +149,11 @@ class TestCanonicalRoots:
         ring = np.exp(1j * np.array([0.0, 1.0, 3.13, 2.0, -3.13]))
         assert _min_gap(ring) == abs(ring[2] - ring[4])
 
+    @pytest.mark.parametrize("n, theta", [(1, 0.0), (7, 0.3), (64, math.pi / 4 - 1e-3), (256, 1e-3)])
+    def test_pullback_matches_preimage_loop_bit_for_bit(self, n, theta):
+        loop = [z for zeta in cheb_roots(n) for z in scaled_joukowski_preimage(zeta, theta)]
+        assert canonical_roots(n, theta).roots.tobytes() == np.array(loop).tobytes()
+
     def test_quarter_angle_rejected(self):
         with pytest.raises(DomainError):
             canonical_roots(2, math.pi / 4)
@@ -205,3 +213,33 @@ class TestMatrixRoots:
         mat = canonical_matrix(math.pi / 4) @ np.diag([2.0, 1.0])
         with pytest.raises(DomainError, match="collapse"):
             matrix_roots(2, mat)
+
+
+class TestOneEvaluationPerCall:
+    """Residuals come from one array evaluation per call, whatever the degree,
+    so a per-root loop fails here without any timing."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"closed_form_eval": 0, "LaurentPoly.eval": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(tracelaurent.roots, "closed_form_eval",
+                            counted("closed_form_eval", tracelaurent.roots.closed_form_eval))
+        monkeypatch.setattr(LaurentPoly, "eval", counted("LaurentPoly.eval", LaurentPoly.eval))
+        return counts
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 300])
+    def test_canonical_roots(self, calls, n):
+        canonical_roots(n, 0.3)
+        assert calls == {"closed_form_eval": 1, "LaurentPoly.eval": 0}
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 300])
+    def test_matrix_roots(self, calls, n):
+        matrix_roots(n, canonical_matrix(0.3) @ np.diag([1.1, 0.9]))
+        assert calls == {"closed_form_eval": 1, "LaurentPoly.eval": 1}
