@@ -8,7 +8,6 @@ deliberately messy complex matrix, checks the rescaling identity at sample
 points, and then recovers the three parameters from the degree-2 table alone.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -34,10 +33,11 @@ n = 5
 poly = trace_power_coeffs(n, mat)
 print()
 print("rescaling identity at sample points (degree 5):")
-for z in (1.0, 0.6 + 0.8j, 2.0j, -1.3):
-    lhs = poly.eval(z)
-    rhs = nf.scale ** n * closed_form_eval(n, nf.angle, nf.dilation * z)
-    print(f"  z = {z!s:>10}   |difference| = {abs(lhs - rhs):.3g}")
+points = (1.0, 0.6 + 0.8j, 2.0j, -1.3)
+lhs = poly.eval(np.array(points))
+rhs = nf.scale ** n * closed_form_eval(n, nf.angle, nf.dilation * np.array(points))
+for z, difference in zip(points, abs(lhs - rhs)):
+    print(f"  z = {z!s:>10}   |difference| = {difference:.3g}")
 
 # The parameters are visible in the degree-2 coefficients: the extreme ones
 # are (r1 r2 rho)^2 and (r1 r2 / rho)^2, and the central one carries the

@@ -56,6 +56,13 @@ def transfer_matrix(z, mat) -> np.ndarray:
     return as_matrix(m @ np.diag([z, 1.0 / z]) @ m.conj().T)
 
 
+def _pencil_params(mat):
+    # a = |c1|^2, b = |c2|^2 and c = |det M|: det S = c^2, L_n = 2 c^n T_n((a z + b/z) / 2c).
+    m = as_matrix(mat)
+    a, b = np.sum(np.abs(m) ** 2, axis=0)
+    return a, b, abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
 def trace_power_coeffs(n: int, mat) -> LaurentPoly:
     """Coefficients of tr(S(z)^n) by the Cayley-Hamilton recurrence.
 
@@ -65,10 +72,9 @@ def trace_power_coeffs(n: int, mat) -> LaurentPoly:
     double range raises a DomainError naming the degree.
     """
     check_degree(n)
-    m = as_matrix(mat)
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b = np.sum(np.abs(m) ** 2, axis=0)
-        d = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) ** 2
+        a, b, c = _pencil_params(mat)
+        d = c ** 2
         prev, cur = np.zeros((2, 2 * n + 1))
         prev[n] = 2.0
         cur[n - 1], cur[n + 1] = b, a
@@ -116,13 +122,27 @@ def brute_force_coeffs(n: int, mat) -> LaurentPoly:
     return LaurentPoly(n, coeffs)
 
 
+def _log_chebyshev(n: int, log_c, alpha):
+    # 2 c^n T_n(cosh alpha), with c^n and T_n unable to over- or underflow apart;
+    # T_n(cosh alpha) = cosh(n alpha) is even in alpha, so any acosh branch serves.
+    return np.exp(n * (log_c + alpha)) + np.exp(n * (log_c - alpha))
+
+
 def _real_closed_form(n: int, c: float, x: np.ndarray) -> np.ndarray:
-    # 2 c^n T_n(x) at real x in log form, so that c^n and T_n(x) cannot over-
-    # or underflow apart: 2 c^n cos(n acos x) on [-1, 1], and outside it
-    # sign(x)^n exp(n (log c +- acosh|x|)) summed over both signs.
-    alpha = np.arccosh(np.maximum(np.abs(x), 1.0))
-    values = np.exp(n * (math.log(c) + alpha)) + np.exp(n * (math.log(c) - alpha))
+    # 2 c^n T_n(x) at real x: 2 c^n cos(n acos x) on [-1, 1], and outside it
+    # sign(x)^n times the log form at acosh|x|.
+    values = _log_chebyshev(n, math.log(c), np.arccosh(np.maximum(np.abs(x), 1.0)))
     values *= np.cos(n * np.arccos(np.clip(x, -1.0, 1.0)))
+    return values
+
+
+def _matrix_eval(n: int, mat, z: np.ndarray) -> np.ndarray:
+    # L_n(z) of any matrix with det M != 0 at an array of nonzero z, O(1) per
+    # point from (a, b, c) of the matrix itself; beyond double range it raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c = _pencil_params(mat)
+        values = _log_chebyshev(n, math.log(c), np.arccosh((a * z + b / z) / (2.0 * c)))
+    check_double_range(values, "family values", n)
     return values
 
 
@@ -130,13 +150,11 @@ def closed_form_eval(n: int, theta: float, z):
     """Value of the canonical family member: 2 c^n T_n(x), x = (z + 1/z) / 2c, c = cos 2t.
 
     A scalar z gives a complex, an array an ndarray of its shape; every point
-    must be nonzero. Each point costs O(1) in log form: T_n(cosh a) =
-    cosh(n a) is even in a, so 2 c^n T_n(x) = exp(n (log c + a)) +
-    exp(n (log c - a)) with a = acosh x on any branch. Where x is exactly
-    real the sign-aware real form of `closed_form_coeffs` is used, and the
-    value's imaginary part is exactly zero. Within rounding reach of pi/4
-    the rank-one limit (z + 1/z)^n is taken explicitly. Values beyond double
-    range raise a DomainError naming the degree.
+    must be nonzero. Each point costs O(1) in log form, exp(n (log c + a)) +
+    exp(n (log c - a)) with a = acosh x on any branch; exactly real x takes
+    the sign-aware real form, whose imaginary part is exactly zero. Within
+    rounding reach of pi/4 the rank-one limit (z + 1/z)^n is taken
+    explicitly. Values beyond double range raise a DomainError naming the degree.
     """
     check_degree(n)
     check_angle(theta)
@@ -155,8 +173,7 @@ def closed_form_eval(n: int, theta: float, z):
             c = math.cos(2.0 * theta)
             x = w / (2.0 * c)
             values[real] = _real_closed_form(n, c, x.real[real])
-            a = np.arccosh(x[~real])
-            values[~real] = np.exp(n * (math.log(c) + a)) + np.exp(n * (math.log(c) - a))
+            values[~real] = _log_chebyshev(n, math.log(c), np.arccosh(x[~real]))
     check_double_range(values, "closed-form values", n)
     return complex(values[0]) if shape == () else values.reshape(shape)
 
@@ -165,9 +182,8 @@ def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
     """Coefficient table of the canonical family member by one DFT of its values.
 
     The values 2 c^n T_n(x), x = cos t / c, c = cos 2 theta, are real and even
-    in t. They are sampled at the 2n+1 roots of unity in log form, as
-    2 c^n cos(n acos x) on [-1, 1] and sign(x)^n exp(n (log c +- acosh|x|))
-    summed over both signs outside, and one real DFT gives the table. Angle 0,
+    in t. They are sampled at the 2n+1 roots of unity in the sign-aware log form
+    of `_real_closed_form`, and one real DFT gives the table. Angle 0,
     the quarter turn and the edge coefficients 1 are exact; other entries are
     accurate relative to the largest. Samples beyond double range raise a
     DomainError naming the degree.

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BOUNDARY_TOL, DomainError, as_matrix, at_quarter_turn, check_degree, check_open_angle
+from .core import BOUNDARY_TOL, DomainError, at_quarter_turn, check_degree, check_open_angle
 from .chebyshev import cheb_roots
-from .family import closed_form_eval, trace_power_coeffs
+from .family import _matrix_eval, closed_form_eval
 from .normal_form import normal_form
 
 __all__ = [
@@ -134,9 +134,9 @@ def matrix_roots(n: int, mat) -> RootReport:
     whose radius is the reciprocal of the dilation. An angle at pi/4 (by
     the same edge as `canonical_roots`) is rejected: there the polynomial
     degenerates to (z + 1/z)^n scaled, whose roots collapse onto +-i with
-    multiplicity n, outside this module's simple-root contract. Residuals are measured
-    against the trace-power coefficients of the input matrix itself, in one
-    evaluation over all roots.
+    multiplicity n, outside this module's simple-root contract. Residuals are
+    |2 c^n T_n((a z + b/z) / 2c)| with a, b, c = |det M| of the input matrix, not
+    its normal form, in one O(1)-per-root pass while c^n fits in double range.
     """
     check_degree(n)
     nf = normal_form(mat)
@@ -145,7 +145,6 @@ def matrix_roots(n: int, mat) -> RootReport:
             "angle at pi/4: roots collapse to +-i with multiplicity n; "
             "localization requires an angle strictly below pi/4"
         )
-    canonical = canonical_roots(n, nf.angle)
-    roots = canonical.roots / nf.dilation
-    residuals = np.abs(trace_power_coeffs(n, as_matrix(mat)).eval(roots))
+    roots = canonical_roots(n, nf.angle).roots / nf.dilation
+    residuals = np.abs(_matrix_eval(n, mat, roots))
     return RootReport(roots, residuals, _min_gap(roots))

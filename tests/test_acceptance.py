@@ -121,12 +121,12 @@ def test_criterion_04_normal_form_round_trip():
         nf = normal_form(m)
         for n in (1, 3, 6):
             poly = trace_power_coeffs(n, m)
-            for _ in range(20):
-                radius = rng.uniform(0.5, 2.0)
-                z = radius * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-                lhs = poly.eval(z)
-                rhs = nf.scale ** n * closed_form_eval(n, nf.angle, nf.dilation * z)
-                ok = ok and abs(lhs - rhs) <= 1e-9 * (1.0 + max(abs(lhs), abs(rhs)))
+            # The 20 (radius, argument) draws of one uniform stream, in one array.
+            u = rng.random((20, 2))
+            z = (0.5 + 1.5 * u[:, 0]) * np.exp(1j * (2 * math.pi * u[:, 1]))
+            lhs = poly.eval(z)
+            rhs = nf.scale ** n * closed_form_eval(n, nf.angle, nf.dilation * z)
+            ok = ok and bool(np.all(abs(lhs - rhs) <= 1e-9 * (1.0 + np.maximum(abs(lhs), abs(rhs)))))
     _report(4, "any member evaluates through its normal form: value scaling "
                "by scale^n and argument scaling by the dilation (1e-9)", ok)
 
@@ -214,10 +214,10 @@ def test_criterion_09_circle_restriction_and_comb():
         mat = canonical_matrix(theta)
         for n in range(1, 11):
             table = trace_power_coeffs(n, mat)
-            for t in np.linspace(0.0, math.pi, 20):
-                lhs = table.eval(cmath.exp(1j * float(t))).real
-                rhs = 2.0 * c ** n * trig_eval(n, theta, float(t))
-                ok = ok and abs(lhs - rhs) <= 1e-10 * (1.0 + max(abs(lhs), abs(rhs)))
+            ts = np.linspace(0.0, math.pi, 20)
+            lhs = table.eval(np.exp(1j * ts)).real
+            rhs = 2.0 * c ** n * np.array([trig_eval(n, theta, float(t)) for t in ts])
+            ok = ok and bool(np.all(abs(lhs - rhs) <= 1e-10 * (1.0 + np.maximum(abs(lhs), abs(rhs)))))
     # Root systems of the restriction: simple roots inside the open bands,
     # and a 2n multiplicity budget per period on the unit levels.
     for theta in GRID8_OPEN:

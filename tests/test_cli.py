@@ -371,6 +371,8 @@ class TestRecordsDerivedForms:
 
 class TestOverflow:
     def test_overflowing_table_exit_3_names_it(self, capsys):
+        # |det M| = |2.35 + 2i| ~ 3.09, so |det M|^1024 ~ 1e501 leaves double
+        # range: the residuals' Chebyshev form overflows at the roots themselves.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = invoke(

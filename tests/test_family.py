@@ -166,10 +166,11 @@ class TestClosedForm:
         rng = np.random.default_rng(33)
         for theta in GRID6:
             p = closed_form_coeffs(5, theta)
-            for _ in range(5):
-                z = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-                a, b = closed_form_eval(5, theta, z), p.eval(z)
-                assert abs(a - b) <= 1e-10 * (1.0 + max(abs(a), abs(b)))
+            # The 5 (real, imaginary) draws of one uniform stream, in one array.
+            u = rng.random((5, 2))
+            z = (0.5 + 1.5 * u[:, 0]) + 1j * (-1.0 + 2.0 * u[:, 1])
+            a, b = closed_form_eval(5, theta, z), p.eval(z)
+            assert np.all(abs(a - b) <= 1e-10 * (1.0 + np.maximum(abs(a), abs(b))))
 
     def test_angle_range_checked(self):
         with pytest.raises(DomainError):

@@ -28,6 +28,8 @@ from tracelaurent import (
     trace_power_coeffs,
     trig_coeffs,
 )
+from tracelaurent.family import _matrix_eval
+from tracelaurent.normal_form import canonical_matrix, normal_form
 from conftest import GRID6
 
 DEGREES = (64, 256, 512)
@@ -225,6 +227,42 @@ def test_matrix_root_residuals_against_reference(n, index):
     m = unit_scale_matrices()[index]
     report = matrix_roots(n, m)
     berr = root_backward_errors(pencil_params(m), n, report.roots, report.residuals)
+    assert berr[:, 0].max() <= ROOT_BERR_TOL
+    assert berr[:, 1].max() <= RESIDUAL_BERR_TOL
+
+
+def off_root_points(rng, n, radius, size):
+    """Points at log-distance 1/n..30/n off the roots' circle, on both sides, so
+    that |L(z)| stays within a factor ~e^30 of its scale and within double range."""
+    offset = rng.uniform(1.0, 30.0, size) / n * rng.choice([-1.0, 1.0], size)
+    return radius * np.exp(offset + 1j * rng.uniform(-math.pi, math.pi, size))
+
+
+@pytest.mark.parametrize("index", range(3))
+@pytest.mark.parametrize("n", (16, 256, 1024))
+def test_matrix_values_against_reference(n, index):
+    m = unit_scale_matrices()[index]
+    z = off_root_points(np.random.default_rng(n + index), n, 1.0 / normal_form(m).dilation, 30)
+    got = _matrix_eval(n, m, z)
+    params = pencil_params(m)
+    with mpmath.workdps(VALUE_DPS):
+        for point, value in zip(z, got):
+            ref = family_value(params, n, mpmath.mpc(complex(point)))
+            assert float(abs(mpmath.mpc(complex(value)) - ref) / abs(ref)) <= VALUE_REL_TOL
+
+
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("n", (2048, 4096, 10 ** 4))
+def test_matrix_roots_beyond_table_range(n, index):
+    # The trace-power table overflows past n ~ 1,143 at pi/6; the residuals'
+    # Chebyshev form only needs c^n = |det M|^n within range at the roots.
+    m = [canonical_matrix(math.pi / 6), *unit_scale_matrices()][index]
+    report = matrix_roots(n, m)
+    radius = 1.0 / normal_form(m).dilation
+    assert report.roots.shape == (2 * n,)
+    assert np.abs(np.abs(report.roots) - radius).max() <= 1e-9 * radius
+    sample = np.linspace(0, 2 * n - 1, 20).astype(int)
+    berr = root_backward_errors(pencil_params(m), n, report.roots[sample], report.residuals[sample])
     assert berr[:, 0].max() <= ROOT_BERR_TOL
     assert berr[:, 1].max() <= RESIDUAL_BERR_TOL
 

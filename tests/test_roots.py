@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import tracelaurent.family
 import tracelaurent.roots
 from tracelaurent import (
     DomainError,
@@ -217,11 +218,13 @@ class TestMatrixRoots:
 
 class TestOneEvaluationPerCall:
     """Residuals come from one array evaluation per call, whatever the degree,
-    so a per-root loop fails here without any timing."""
+    so a per-root loop, or a return to the matrix's coefficient table, fails
+    here without any timing."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"closed_form_eval": 0, "LaurentPoly.eval": 0}
+        counts = {"closed_form_eval": 0, "_matrix_eval": 0, "LaurentPoly.eval": 0,
+                  "trace_power_coeffs": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -229,17 +232,23 @@ class TestOneEvaluationPerCall:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(tracelaurent.roots, "closed_form_eval",
-                            counted("closed_form_eval", tracelaurent.roots.closed_form_eval))
+        for name in ("closed_form_eval", "_matrix_eval"):
+            monkeypatch.setattr(tracelaurent.roots, name, counted(name, getattr(tracelaurent.roots, name)))
+        # Counted wherever roots could look the table route up.
+        table = counted("trace_power_coeffs", tracelaurent.family.trace_power_coeffs)
+        monkeypatch.setattr(tracelaurent.family, "trace_power_coeffs", table)
+        monkeypatch.setattr(tracelaurent.roots, "trace_power_coeffs", table, raising=False)
         monkeypatch.setattr(LaurentPoly, "eval", counted("LaurentPoly.eval", LaurentPoly.eval))
         return counts
 
     @pytest.mark.parametrize("n", [1, 8, 64, 300])
     def test_canonical_roots(self, calls, n):
         canonical_roots(n, 0.3)
-        assert calls == {"closed_form_eval": 1, "LaurentPoly.eval": 0}
+        assert calls == {"closed_form_eval": 1, "_matrix_eval": 0, "LaurentPoly.eval": 0,
+                         "trace_power_coeffs": 0}
 
     @pytest.mark.parametrize("n", [1, 8, 64, 300])
     def test_matrix_roots(self, calls, n):
         matrix_roots(n, canonical_matrix(0.3) @ np.diag([1.1, 0.9]))
-        assert calls == {"closed_form_eval": 1, "LaurentPoly.eval": 1}
+        assert calls == {"closed_form_eval": 1, "_matrix_eval": 1, "LaurentPoly.eval": 0,
+                         "trace_power_coeffs": 0}

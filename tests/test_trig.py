@@ -34,11 +34,10 @@ class TestEval:
         for theta in (0.1, math.pi / 8, math.pi / 6):
             c = math.cos(2 * theta)
             for n in (1, 3, 6, 10):
-                for t in np.linspace(0.0, math.pi, 9):
-                    value = closed_form_eval(n, theta, cmath.exp(1j * t))
-                    want = value.real / (2.0 * c ** n)
-                    got = trig_eval(n, theta, float(t))
-                    assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+                ts = np.linspace(0.0, math.pi, 9)
+                want = closed_form_eval(n, theta, np.exp(1j * ts)).real / (2.0 * c ** n)
+                got = np.array([trig_eval(n, theta, float(t)) for t in ts])
+                assert np.all(abs(got - want) <= 1e-10 * (1.0 + abs(want)))
 
     def test_complex_argument(self):
         t = 0.5 + 0.25j
