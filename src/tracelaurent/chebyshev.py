@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import CLUSTER_TOL, DomainError, check_degree
+from .core import DomainError, check_degree
 
 __all__ = ["cheb_eval", "cheb_preimage", "cheb_roots"]
 
@@ -42,17 +42,24 @@ def cheb_eval(n: int, x):
 def cheb_roots(n: int) -> np.ndarray:
     """The n simple roots of T_n, ascending in (-1, 1)."""
     check_degree(n)
-    return np.array([math.cos((2 * j - 1) * math.pi / (2 * n)) for j in range(n, 0, -1)])
+    return np.cos((2 * np.arange(n, 0, -1) - 1) * math.pi / (2 * n))
+
+
+def _extrema(n: int):
+    # (points, levels, multiplicities) of the extrema cos(k pi/n), k = 0..n,
+    # descending: T_n = (-1)^k there, doubly inside and simply at the ends.
+    k = np.arange(n + 1)
+    return np.cos(k * math.pi / n), 1 - 2 * (k % 2), np.where((k == 0) | (k == n), 1, 2)
 
 
 def cheb_preimage(n: int, s: float) -> list[tuple[float, int]]:
     """Solutions of T_n(x) = s inside [-1, 1], with multiplicities.
 
-    Since T_n maps [-1, 1] onto [-1, 1] taking every value with total
-    multiplicity n, the preimages are cos((arccos s + 2 pi j)/n) for
-    j = 0..n-1. Values closer than 1e-9 are merged into a single root whose
-    multiplicity is the cluster size; multiplicity 2 occurs only at interior
-    critical points when |s| = 1.
+    T_n maps [-1, 1] onto [-1, 1] taking every value with total multiplicity
+    n, and the preimages are exact at every degree, with no merging. For
+    |s| < 1 they are the n simple roots cos((2 pi ceil(m/2) + (-1)^m acos s)/n),
+    m = 0..n-1. For s = +-1 they are the extrema cos(k pi/n) with
+    (-1)^k = s, of multiplicity 2 inside and 1 at the ends x = +-1.
 
     Returns a list of (root, multiplicity) pairs, roots ascending.
     """
@@ -60,15 +67,11 @@ def cheb_preimage(n: int, s: float) -> list[tuple[float, int]]:
     s = float(s)
     if abs(s) > 1.0:
         raise DomainError("level must lie in [-1, 1]")
-    alpha = math.acos(s)
-    vals = sorted(math.cos((alpha + 2.0 * math.pi * j) / n) for j in range(n))
-    out: list[tuple[float, int]] = []
-    cluster = [vals[0]]
-    for v in vals[1:]:
-        if v - cluster[-1] <= CLUSTER_TOL:
-            cluster.append(v)
-        else:
-            out.append((sum(cluster) / len(cluster), len(cluster)))
-            cluster = [v]
-    out.append((sum(cluster) / len(cluster), len(cluster)))
-    return out
+    if abs(s) == 1.0:
+        x, levels, mult = _extrema(n)
+        x, mult = x[levels == s], mult[levels == s]
+    else:
+        m = np.arange(n)
+        x = np.cos((2.0 * math.pi * ((m + 1) // 2) + (1 - 2 * (m % 2)) * math.acos(s)) / n)
+        mult = np.ones(n, dtype=int)
+    return list(zip(x[::-1].tolist(), mult[::-1].tolist()))

@@ -25,8 +25,6 @@ UNIT_PHASE_TOL = 1e-12  # allowed deviation of |phase| from 1
 UNIT_COLUMN_TOL = 1e-9  # allowed deviation of a column norm from 1 in column_overlap
 PSD_TOL = 1e-10  # anti-Hermitian part and negative eigenvalue slack in psd_sqrt
 MIN_COLUMN_NORM = 1e-300  # a column counts as nonzero above this norm
-CLUSTER_TOL = 1e-9  # Chebyshev preimages closer than this merge into one root
-BAND_EDGE_TOL = 1e-12  # a Chebyshev level root this close to +-1 is a band endpoint
 BOUNDARY_TOL = 1e-10  # off-circle and arc-endpoint slack in arc_membership
 VERIFY_TOL = 1e-10  # default comparison tolerance of the CLI's --verify
 

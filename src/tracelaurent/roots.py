@@ -108,21 +108,27 @@ class RootReport:
         object.__setattr__(self, "residuals", residuals)
 
 
-def canonical_roots(n: int, theta: float) -> RootReport:
-    """All 2n roots of the canonical family member, by Chebyshev pullback.
-
-    Each Chebyshev root pulls back to a conjugate pair x +- iy on the unit
-    circle, x = cos(2 theta) times the root, y = sqrt(1 - x^2); all pairs are
-    formed at once. Residuals report the closed-form magnitude at each
-    computed root, from one evaluation over all of them.
-    """
-    check_degree(n)
-    check_open_angle(theta)
+def _pullback(n: int, theta: float) -> np.ndarray:
+    # Each Chebyshev root zeta pulls back to the conjugate pair x +- iy on the
+    # unit circle, x = cos(2 theta) zeta, y = sqrt(1 - x^2), all at once.
     x = math.cos(2.0 * theta) * cheb_roots(n)
     y = np.sqrt(np.maximum(1.0 - x * x, 0.0))
     roots = np.empty(2 * n, dtype=complex)
     roots[0::2] = x + 1j * y
     roots[1::2] = x - 1j * y
+    return roots
+
+
+def canonical_roots(n: int, theta: float) -> RootReport:
+    """All 2n roots of the canonical family member, by Chebyshev pullback.
+
+    The pullback is the one `matrix_roots` shares. Residuals report the
+    closed-form magnitude at each computed root, from one evaluation over
+    all of them.
+    """
+    check_degree(n)
+    check_open_angle(theta)
+    roots = _pullback(n, theta)
     residuals = np.abs(closed_form_eval(n, theta, roots))
     return RootReport(roots, residuals, _min_gap(roots))
 
@@ -130,11 +136,12 @@ def canonical_roots(n: int, theta: float) -> RootReport:
 def matrix_roots(n: int, mat) -> RootReport:
     """Roots for a generic matrix, through its normal form.
 
-    The canonical roots are divided by the dilation, landing on the circle
-    whose radius is the reciprocal of the dilation. An angle at pi/4 (by
-    the same edge as `canonical_roots`) is rejected: there the polynomial
-    degenerates to (z + 1/z)^n scaled, whose roots collapse onto +-i with
-    multiplicity n, outside this module's simple-root contract. Residuals are
+    The canonical pullback at the normal form's angle, divided by the
+    dilation, lands on the circle whose radius is the reciprocal of the
+    dilation. An angle at pi/4 (by the same edge as `canonical_roots`) is
+    rejected: there the polynomial degenerates to (z + 1/z)^n scaled, whose
+    roots collapse onto +-i with multiplicity n, outside this module's
+    simple-root contract. Residuals are
     |2 c^n T_n((a z + b/z) / 2c)| with a, b, c = |det M| of the input matrix, not
     its normal form, in one O(1)-per-root pass while c^n fits in double range.
     """
@@ -145,6 +152,6 @@ def matrix_roots(n: int, mat) -> RootReport:
             "angle at pi/4: roots collapse to +-i with multiplicity n; "
             "localization requires an angle strictly below pi/4"
         )
-    roots = canonical_roots(n, nf.angle).roots / nf.dilation
+    roots = _pullback(n, nf.angle) / nf.dilation
     residuals = np.abs(_matrix_eval(n, mat, roots))
     return RootReport(roots, residuals, _min_gap(roots))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import cheb_eval, cheb_preimage, cheb_roots
-from .core import BAND_EDGE_TOL, DomainError, check_degree, check_double_range, check_open_angle
+from .chebyshev import _extrema, cheb_eval, cheb_roots
+from .core import DomainError, check_degree, check_double_range, check_open_angle
 from .family import closed_form_coeffs
 
 __all__ = [
@@ -147,39 +147,29 @@ def trig_roots(n: int, theta: float) -> np.ndarray:
     """Roots of the cosine polynomial in the fundamental interval, ascending.
 
     Each Chebyshev root zeta_j pulls back to arccos(cos(2 theta) zeta_j),
-    which lies strictly inside (2 theta, pi - 2 theta). All n roots are
-    simple.
+    which lies strictly inside (2 theta, pi - 2 theta), in one array pass.
+    All n roots are simple.
     """
     check_degree(n)
     check_open_angle(theta)
-    c = math.cos(2.0 * theta)
-    return np.array([math.acos(c * zeta) for zeta in cheb_roots(n)][::-1])
+    return np.arccos(math.cos(2.0 * theta) * cheb_roots(n))[::-1]
 
 
 def unit_level_roots(n: int, theta: float) -> list[tuple[float, int, int]]:
     """Roots of (cosine polynomial)^2 = 1 in the fundamental interval.
 
-    Returns (root, level, multiplicity) triples sorted by root, level being
-    +1 or -1. Total multiplicity is n per level, 2n per period; multiplicity
-    2 occurs only at interior critical points.
+    Returns (root, level, multiplicity) triples sorted by root: the n + 1
+    points t_k = arccos(cos(2 theta) cos(k pi/n)), k = 0..n, at level
+    (-1)^k, with multiplicity 2 inside and 1 at the band endpoints t_0 and
+    t_n, which are exactly 2 theta and pi - 2 theta. Total multiplicity is n
+    per level, 2n per period, at every degree.
     """
     check_degree(n)
     check_open_angle(theta)
-    c = math.cos(2.0 * theta)
-    out = []
-    for level in (1, -1):
-        for zeta, mult in cheb_preimage(n, float(level)):
-            # acos(c * zeta) can land one ulp outside the closed band when
-            # zeta = +-1; those hits are exactly the band endpoints.
-            if zeta >= 1.0 - BAND_EDGE_TOL:
-                t = 2.0 * theta
-            elif zeta <= -1.0 + BAND_EDGE_TOL:
-                t = math.pi - 2.0 * theta
-            else:
-                t = math.acos(c * zeta)
-            out.append((t, level, mult))
-    out.sort(key=lambda item: item[0])
-    return out
+    x, levels, mult = _extrema(n)
+    t = np.arccos(math.cos(2.0 * theta) * x)
+    t[0], t[n] = 2.0 * theta, math.pi - 2.0 * theta
+    return list(zip(t.tolist(), levels.tolist(), mult.tolist()))
 
 
 def comb_height(theta: float) -> float:

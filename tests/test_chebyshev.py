@@ -93,6 +93,13 @@ class TestRoots:
         for r in roots:
             assert abs(cheb_eval(n, r)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1024])
+    def test_matches_scalar_loop_bit_for_bit(self, n):
+        # Same arithmetic as one math.cos per root, so the root pullbacks
+        # built on it stay bit-identical.
+        loop = [math.cos((2 * j - 1) * math.pi / (2 * n)) for j in range(n, 0, -1)]
+        assert cheb_roots(n).tobytes() == np.array(loop).tobytes()
+
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             cheb_roots(0)

@@ -22,11 +22,14 @@ import pytest
 from tracelaurent import (
     DomainError,
     canonical_roots,
+    cheb_preimage,
     closed_form_coeffs,
     closed_form_eval,
     matrix_roots,
     trace_power_coeffs,
     trig_coeffs,
+    trig_roots,
+    unit_level_roots,
 )
 from tracelaurent.family import _matrix_eval
 from tracelaurent.normal_form import canonical_matrix, normal_form
@@ -331,3 +334,92 @@ def test_array_evaluation_rejects_any_zero():
         closed_form_eval(3, 0.2, z)
     with pytest.raises(DomainError, match="z != 0"):
         trace_power_coeffs(3, np.eye(2)).eval(z)
+
+
+# ---- exact level sets ----------------------------------------------------
+
+# Adjacent preimages of a level near +-1 sit ~(pi/n)^2 apart, so at this
+# degree any merging of nearby values would join distinct simple roots.
+LEVEL_DEGREE = 2 * 10 ** 5
+EPS = float(np.finfo(float).eps)
+# Forward error of t = acos(c zeta) in units of eps (t + |cot t|): rounding
+# c zeta moves t by eps |cot t|, and acos itself adds about eps t. Largest
+# measured: 0.74 over the cases below (n = 1024, angle 1e-3), 1.04 over every
+# point of the benchmark's zero-set ops at n <= 1024.
+ARG_ULPS = 2.0
+
+
+def sample_indices(count):
+    return np.unique(np.linspace(0, count - 1, 20).astype(int))
+
+
+def assert_near_reference(got, angles):
+    """got[i] against cos(angles[i]) in mpmath, within a few ulps of 1."""
+    with mpmath.workprec(200):
+        for x, angle in zip(got, angles):
+            assert abs(x - mpmath.cos(angle)) <= 4 * EPS, (x, angle)
+
+
+def test_interior_level_preimages_are_simple_at_large_degree():
+    n, s = LEVEL_DEGREE, 0.5
+    hits = cheb_preimage(n, s)
+    assert len(hits) == n
+    assert all(m == 1 for _, m in hits)
+    x = np.array([v for v, _ in hits])
+    assert np.all(np.diff(x) > 0)
+    # Each sampled x lies within a few ulps of its nearest exact preimage
+    # cos((2 pi j +- acos s) / n).
+    sample = x[sample_indices(n)]
+    nearest = []
+    with mpmath.workprec(200):
+        alpha, turn = mpmath.acos(s), 2 * mpmath.pi
+        for v in sample:
+            phase = n * mpmath.acos(v)
+            angles = [(turn * mpmath.nint((phase - sign * alpha) / turn) + sign * alpha) / n
+                      for sign in (1, -1)]
+            nearest.append(min(angles, key=lambda a: abs(v - mpmath.cos(a))))
+    assert_near_reference(sample, nearest)
+
+
+@pytest.mark.parametrize("level", [1.0, -1.0])
+def test_extreme_level_preimages_at_large_degree(level):
+    # T_n = +-1 at cos(k pi/n) for even or odd k: double inside, simple at +-1.
+    n = LEVEL_DEGREE
+    hits = cheb_preimage(n, level)
+    k = np.arange(n + 1)[::-1]
+    k = k[(-1.0) ** k == level]
+    x = np.array([v for v, _ in hits])
+    mult = np.array([m for _, m in hits])
+    assert len(hits) == len(k)
+    assert np.all(np.diff(x) > 0)
+    assert mult.sum() == n
+    assert np.array_equal(mult == 1, np.abs(x) == 1.0)
+    i = sample_indices(len(k))
+    assert_near_reference(x[i], [int(j) * mpmath.pi / n for j in k[i]])
+
+
+@pytest.mark.parametrize("theta", OPEN_ANGLES)
+def test_unit_level_structure_at_large_degree(theta):
+    n = LEVEL_DEGREE
+    hits = unit_level_roots(n, theta)
+    assert len(hits) == n + 1
+    assert [level for _, level, _ in hits] == [1, -1] * (n // 2) + [1]
+    assert [m for _, _, m in hits] == [1] + [2] * (n - 1) + [1]
+    assert hits[0][0] == 2.0 * theta and hits[-1][0] == math.pi - 2.0 * theta
+    assert all(a <= b for (a, _, _), (b, _, _) in zip(hits, hits[1:]))
+
+
+@pytest.mark.parametrize("theta", OPEN_ANGLES)
+@pytest.mark.parametrize("n", (1024, LEVEL_DEGREE))
+def test_circle_roots_and_unit_levels_against_reference(n, theta):
+    roots = trig_roots(n, theta)
+    levels = unit_level_roots(n, theta)
+    j, k = sample_indices(n), sample_indices(n + 1)
+    with mpmath.workprec(200):
+        c = mpmath.cos(2 * mpmath.mpf(theta))
+        pairs = [(roots[i], (2 * int(i) + 1) * mpmath.pi / (2 * n)) for i in j]
+        pairs += [(levels[i][0], int(i) * mpmath.pi / n) for i in k]
+        for got, angle in pairs:
+            ref = mpmath.acos(c * mpmath.cos(angle))
+            scale = ref + abs(mpmath.cot(ref))
+            assert abs(got - ref) <= ARG_ULPS * EPS * scale, (got, angle)

@@ -3,7 +3,8 @@
 Every numerical edge of the package is a named constant in core's tolerance
 block (module-level UPPER_CASE assignments), and every domain validator is a
 `check_*` function in core. This test parses the package source and fails on
-a small float literal or a validator defined anywhere else.
+a small float literal or a validator defined anywhere else, and on a named
+tolerance that no code reads.
 """
 
 import ast
@@ -19,18 +20,21 @@ def _modules():
     return sorted(PACKAGE.glob("*.py"))
 
 
+def _tolerance_assignments(tree):
+    """Core's module-level UPPER_CASE assignments."""
+    return [
+        stmt
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], ast.Name)
+        and stmt.targets[0].id.isupper()
+    ]
+
+
 def _tolerance_block(tree):
     """Nodes of core's module-level UPPER_CASE assignments."""
-    allowed = set()
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id.isupper()
-        ):
-            allowed.update(ast.walk(stmt))
-    return allowed
+    return {node for stmt in _tolerance_assignments(tree) for node in ast.walk(stmt)}
 
 
 def test_sources_found():
@@ -64,3 +68,18 @@ def test_validators_defined_only_in_core():
             ):
                 offenders.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not offenders, "use core's validators: " + ", ".join(offenders)
+
+
+def test_every_tolerance_is_read():
+    # A named tolerance that nothing reads is a dead edge: its row in the
+    # README's table would describe behaviour the package no longer has.
+    core = ast.parse((PACKAGE / "core.py").read_text())
+    names = {stmt.targets[0].id for stmt in _tolerance_assignments(core)}
+    read = {
+        node.id
+        for path in _modules()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert names, "core's tolerance block is empty"
+    assert not names - read, "unread tolerances in core: " + ", ".join(sorted(names - read))

@@ -13,6 +13,7 @@ from tracelaurent import (
     brute_force_coeffs,
     canonical_matrix,
     canonical_roots,
+    cheb_roots,
     closed_form_eval,
     comb_height,
     comb_map,
@@ -147,6 +148,14 @@ class TestRoots:
             for t in roots:
                 assert system.contains(t, open=True)
                 assert abs(trig_eval(n, theta, float(t))) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [1e-3, 0.3, math.pi / 4 - 1e-3])
+    @pytest.mark.parametrize("n", [1, 7, 1024])
+    def test_within_an_ulp_of_scalar_loop(self, n, theta):
+        # np.arccos and math.acos may round differently, by one ulp at most.
+        c = math.cos(2 * theta)
+        loop = np.array([math.acos(c * zeta) for zeta in cheb_roots(n)][::-1])
+        assert np.all(np.abs(trig_roots(n, theta) - loop) <= np.spacing(loop))
 
     def test_arguments_match_circle_roots(self):
         # Positive-argument roots of the Laurent member sit at the cosine
