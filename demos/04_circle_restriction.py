@@ -14,9 +14,9 @@ import math
 import numpy as np
 
 from tracelaurent import (
+    IntervalSystem,
     comb_height,
     comb_map,
-    interval_system,
     trig_coeffs,
     trig_roots,
     unit_level_roots,
@@ -30,7 +30,7 @@ poly = trig_coeffs(n, theta)
 print("cosine coefficients:", np.round(poly.cos_coeffs, 12))
 
 # Roots live inside the fundamental interval [2 theta, pi - 2 theta].
-system = interval_system(theta, 0, 0)
+system = IntervalSystem(theta, 0, 0)
 print("fundamental interval:", system.fundamental())
 print("roots:", trig_roots(n, theta))
 

@@ -15,36 +15,27 @@ from .normal_form import (
     canonical_matrix,
     column_norms,
     column_overlap,
-    is_generic,
     normal_form,
     normalize_columns,
-    phase_unitary,
-    psd_sqrt,
 )
 from .family import (
     DegreeCapError,
-    EigenPair,
     brute_force_coeffs,
     closed_form_coeffs,
     closed_form_eval,
-    eigen_split,
     trace_power_coeffs,
-    transfer_matrix,
 )
 from .roots import (
     RootReport,
     arc_membership,
     canonical_roots,
     matrix_roots,
-    scaled_joukowski,
-    scaled_joukowski_preimage,
 )
 from .trig import (
     IntervalSystem,
     TrigPoly,
     comb_height,
     comb_map,
-    interval_system,
     trig_coeffs,
     trig_eval,
     trig_roots,
@@ -56,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DegreeCapError",
     "DomainError",
-    "EigenPair",
     "IntervalSystem",
     "LaurentPoly",
     "NormalForm",
@@ -76,19 +66,11 @@ __all__ = [
     "column_overlap",
     "comb_height",
     "comb_map",
-    "eigen_split",
-    "interval_system",
-    "is_generic",
     "laurent_close",
     "matrix_roots",
     "normal_form",
     "normalize_columns",
-    "phase_unitary",
-    "psd_sqrt",
-    "scaled_joukowski",
-    "scaled_joukowski_preimage",
     "trace_power_coeffs",
-    "transfer_matrix",
     "trig_coeffs",
     "trig_eval",
     "trig_roots",

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, check_degree
+from .core import DomainError, check_degree, check_double_range
 
 __all__ = ["cheb_eval", "cheb_preimage", "cheb_roots"]
 
@@ -22,7 +22,7 @@ def cheb_eval(n: int, x):
     On the real interval [-1, 1] the trigonometric form cos(n arccos x) is
     used; everywhere else the three-term recurrence
     T_{k+1} = 2 x T_k - T_{k-1}. Real input yields a float, complex input a
-    complex.
+    complex. A value beyond double range raises a DomainError naming the degree.
     """
     check_degree(n)
     if isinstance(x, complex):
@@ -36,6 +36,7 @@ def cheb_eval(n: int, x):
         t_prev, t_cur = 1.0, x
     for _ in range(n - 1):
         t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
+    check_double_range(t_cur, "Chebyshev values", n)
     return t_cur
 
 

@@ -46,7 +46,7 @@ from .family import (
 )
 from .normal_form import canonical_matrix, normal_form
 from .roots import arc_membership, canonical_roots, matrix_roots
-from .trig import comb_height, comb_map, interval_system, trig_coeffs, trig_roots, unit_level_roots
+from .trig import IntervalSystem, comb_height, comb_map, trig_coeffs, trig_roots, unit_level_roots
 
 __all__ = ["main", "run"]
 
@@ -231,7 +231,7 @@ def _cmd_trig(args):
     coeffs = [float(v) for v in trig_coeffs(n, theta).cos_coeffs]
     roots = [float(t) for t in trig_roots(n, theta)]
     levels = unit_level_roots(n, theta)
-    intervals = list(zip(range(-1, 2), interval_system(theta, -1, 1).intervals()))
+    intervals = list(zip(range(-1, 2), IntervalSystem(theta, -1, 1).intervals()))
     data = {
         "cos_coefficients": [{"k": k, "value": v} for k, v in enumerate(coeffs)],
         "roots": roots,

@@ -9,6 +9,7 @@ out of `__all__`; the other modules import them by name.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ QUARTER_TURN_EPS = 1e-9
 ANGLE_SLACK = 1e-12  # rounding slack above pi/4 in the closed-angle validator
 UNIT_PHASE_TOL = 1e-12  # allowed deviation of |phase| from 1
 UNIT_COLUMN_TOL = 1e-9  # allowed deviation of a column norm from 1 in column_overlap
-PSD_TOL = 1e-10  # anti-Hermitian part and negative eigenvalue slack in psd_sqrt
 MIN_COLUMN_NORM = 1e-300  # a column counts as nonzero above this norm
 BOUNDARY_TOL = 1e-10  # off-circle and arc-endpoint slack in arc_membership
 VERIFY_TOL = 1e-10  # default comparison tolerance of the CLI's --verify
@@ -34,7 +34,9 @@ class DomainError(ValueError):
 
 
 def check_degree(n: int):
-    if n < 1:
+    # Plain int first: the common case, and far cheaper than the Integral ABC check.
+    # bool is an Integral too, but True would index like a mask, not a degree.
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)) or n < 1:
         raise ValueError("degree n must be a positive integer")
 
 

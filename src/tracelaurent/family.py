@@ -15,10 +15,8 @@ oracle for the others.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +28,10 @@ from .normal_form import normal_form
 
 __all__ = [
     "DegreeCapError",
-    "EigenPair",
     "brute_force_coeffs",
     "closed_form_coeffs",
     "closed_form_eval",
-    "eigen_split",
     "trace_power_coeffs",
-    "transfer_matrix",
 ]
 
 _BRUTE_FORCE_CAP = 24
@@ -45,15 +40,6 @@ _BLOCK_BITS = 16
 
 class DegreeCapError(RuntimeError):
     """Brute-force enumeration requested beyond the supported degree."""
-
-
-def transfer_matrix(z, mat) -> np.ndarray:
-    """S(z) = M diag(z, 1/z) M* for nonzero z."""
-    z = complex(z)
-    if z == 0:
-        raise DomainError("transfer matrix requires z != 0")
-    m = as_matrix(mat)
-    return as_matrix(m @ np.diag([z, 1.0 / z]) @ m.conj().T)
 
 
 def _pencil_params(mat):
@@ -224,26 +210,3 @@ def _closed_form_matrix_coeffs(n: int, mat) -> LaurentPoly:
         coeffs = base.coeffs * np.exp(logs)
     check_double_range(coeffs, "closed-form coefficients", n)
     return LaurentPoly(n, coeffs)
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalues of the canonical pencil at a point, product cos(2 theta)^2."""
-
-    lambda1: complex
-    lambda2: complex
-
-
-def eigen_split(z, theta: float) -> EigenPair:
-    """Eigenvalues w +- sqrt(w^2 - cos(2t)^2) of S(z) with w = (z + 1/z)/2.
-
-    The family value is lambda1^n + lambda2^n.
-    """
-    check_angle(theta)
-    z = complex(z)
-    if z == 0:
-        raise DomainError("eigenvalue split requires z != 0")
-    w = (z + 1.0 / z) / 2.0
-    c = math.cos(2.0 * theta)
-    s = cmath.sqrt(w * w - c * c)
-    return EigenPair(w + s, w - s)

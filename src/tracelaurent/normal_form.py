@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_COLUMN_NORM, PSD_TOL, UNIT_COLUMN_TOL
+from .core import MIN_COLUMN_NORM, UNIT_COLUMN_TOL
 from .core import DomainError, as_matrix, check_angle, check_unit_phase
 
 __all__ = [
@@ -29,22 +29,13 @@ __all__ = [
     "canonical_matrix",
     "column_norms",
     "column_overlap",
-    "is_generic",
     "normal_form",
     "normalize_columns",
-    "phase_unitary",
-    "psd_sqrt",
 ]
 
 
 def _norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(m) ** 2, axis=0))
-
-
-def is_generic(mat) -> bool:
-    """True when both columns are nonzero in double precision."""
-    norms = _norms(as_matrix(mat))
-    return bool(norms[0] > MIN_COLUMN_NORM and norms[1] > MIN_COLUMN_NORM)
 
 
 def column_norms(mat) -> tuple[float, float]:
@@ -80,29 +71,6 @@ def column_overlap(mat) -> complex:
     if np.max(np.abs(norms - 1.0)) > UNIT_COLUMN_TOL:
         raise ValueError("columns must be unit length (apply normalize_columns first)")
     return complex(np.vdot(m[:, 0], m[:, 1]))
-
-
-def psd_sqrt(mat) -> np.ndarray:
-    """Positive semidefinite square root of a 2x2 Hermitian PSD matrix.
-
-    Uses the closed form (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)),
-    which for 2x2 matrices reproduces the eigendecomposition square root
-    exactly. Inputs that are non-Hermitian or indefinite beyond a 1e-10
-    tolerance are rejected; the zero matrix maps to itself.
-    """
-    m = as_matrix(mat)
-    if np.max(np.abs(m - m.conj().T)) > PSD_TOL:
-        raise DomainError("not PSD: matrix is not Hermitian")
-    tr = float((m[0, 0] + m[1, 1]).real)
-    det = float((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real)
-    disc = max(tr * tr / 4.0 - det, 0.0)
-    if tr / 2.0 - math.sqrt(disc) < -PSD_TOL:
-        raise DomainError("not PSD: negative eigenvalue")
-    root_det = math.sqrt(max(det, 0.0))
-    denom_sq = tr + 2.0 * root_det
-    if denom_sq <= 0.0:
-        return as_matrix(np.zeros((2, 2)))
-    return as_matrix((m + root_det * np.eye(2)) / math.sqrt(denom_sq))
 
 
 @dataclass(frozen=True)
@@ -163,10 +131,3 @@ def canonical_matrix(theta: float, phase=None) -> np.ndarray:
     phase = complex(phase)
     check_unit_phase(phase)
     return as_matrix([[c, phase * s], [phase.conjugate() * s, c]])
-
-
-def phase_unitary(a) -> np.ndarray:
-    """diag(a, 1) for a unit complex a."""
-    a = complex(a)
-    check_unit_phase(a)
-    return as_matrix([[a, 0.0], [0.0, 1.0]])

@@ -25,36 +25,7 @@ __all__ = [
     "arc_membership",
     "canonical_roots",
     "matrix_roots",
-    "scaled_joukowski",
-    "scaled_joukowski_preimage",
 ]
-
-
-def scaled_joukowski(z, theta: float) -> complex:
-    """(z + 1/z) / (2 cos 2 theta) for nonzero z."""
-    check_open_angle(theta)
-    z = complex(z)
-    if z == 0:
-        raise DomainError("map requires z != 0")
-    return (z + 1.0 / z) / (2.0 * math.cos(2.0 * theta))
-
-
-def scaled_joukowski_preimage(w, theta: float) -> tuple[complex, complex]:
-    """The two solutions of (z + 1/z) / (2 cos 2 theta) = w.
-
-    Solves z^2 - 2 w cos(2 theta) z + 1 = 0; the two preimages multiply to 1.
-    For real w with |w cos 2 theta| <= 1 they form an exact conjugate pair on
-    the unit circle.
-    """
-    check_open_angle(theta)
-    w = complex(w)
-    wc = w * math.cos(2.0 * theta)
-    if wc.imag == 0.0 and abs(wc.real) <= 1.0:
-        x = wc.real
-        y = math.sqrt(max(1.0 - x * x, 0.0))
-        return complex(x, y), complex(x, -y)
-    s = cmath.sqrt(wc * wc - 1.0)
-    return wc + s, wc - s
 
 
 def arc_membership(z, theta: float) -> str:

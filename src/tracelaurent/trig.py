@@ -27,7 +27,6 @@ __all__ = [
     "TrigPoly",
     "comb_height",
     "comb_map",
-    "interval_system",
     "trig_coeffs",
     "trig_eval",
     "trig_roots",
@@ -136,11 +135,6 @@ class IntervalSystem:
     def fundamental(self) -> tuple[float, float]:
         """The period-0 interval [2 theta, pi - 2 theta]."""
         return 2.0 * self.theta, math.pi - 2.0 * self.theta
-
-
-def interval_system(theta: float, p_min: int, p_max: int) -> IntervalSystem:
-    """Construct the interval system for a window of periods."""
-    return IntervalSystem(theta, p_min, p_max)
 
 
 def trig_roots(n: int, theta: float) -> np.ndarray:

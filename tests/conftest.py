@@ -1,8 +1,12 @@
-"""Shared helpers for the test suite: seeded samplers and comparison utilities."""
+"""Shared helpers for the test suite: seeded samplers, comparison utilities and
+reference implementations that the package's routes are checked against."""
 
+import cmath
 import math
 
 import numpy as np
+
+from tracelaurent import DomainError, as_matrix
 
 # Angle grids used across the suite. GRID6 stresses both limits; GRID8_OPEN
 # stays strictly below pi/4 for the operations that require it.
@@ -41,3 +45,67 @@ def match_sets(left, right, tol):
             return False
         right.pop(hits[0])
     return True
+
+
+def transfer_matrix(z, mat) -> np.ndarray:
+    """S(z) = M diag(z, 1/z) M* for nonzero z."""
+    z = complex(z)
+    if z == 0:
+        raise DomainError("transfer matrix requires z != 0")
+    m = as_matrix(mat)
+    return as_matrix(m @ np.diag([z, 1.0 / z]) @ m.conj().T)
+
+
+def eigen_split(z, theta: float) -> tuple[complex, complex]:
+    """Eigenvalues w +- sqrt(w^2 - cos(2t)^2) of the canonical S(z), w = (z + 1/z)/2.
+
+    The family value is lambda1^n + lambda2^n.
+    """
+    z = complex(z)
+    w = (z + 1.0 / z) / 2.0
+    c = math.cos(2.0 * theta)
+    s = cmath.sqrt(w * w - c * c)
+    return w + s, w - s
+
+
+def scaled_joukowski_preimage(w, theta: float) -> tuple[complex, complex]:
+    """The two solutions of (z + 1/z) / (2 cos 2 theta) = w.
+
+    Solves z^2 - 2 w cos(2 theta) z + 1 = 0; the two preimages multiply to 1.
+    For real w with |w cos 2 theta| <= 1 they form an exact conjugate pair on
+    the unit circle.
+    """
+    w = complex(w)
+    wc = w * math.cos(2.0 * theta)
+    if wc.imag == 0.0 and abs(wc.real) <= 1.0:
+        x = wc.real
+        y = math.sqrt(max(1.0 - x * x, 0.0))
+        return complex(x, y), complex(x, -y)
+    s = cmath.sqrt(wc * wc - 1.0)
+    return wc + s, wc - s
+
+
+PSD_TOL = 1e-10  # anti-Hermitian part and negative eigenvalue slack in psd_sqrt
+
+
+def psd_sqrt(mat) -> np.ndarray:
+    """Positive semidefinite square root of a 2x2 Hermitian PSD matrix.
+
+    Uses the closed form (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)),
+    which for 2x2 matrices reproduces the eigendecomposition square root
+    exactly. Inputs that are non-Hermitian or indefinite beyond PSD_TOL are
+    rejected; the zero matrix maps to itself.
+    """
+    m = as_matrix(mat)
+    if np.max(np.abs(m - m.conj().T)) > PSD_TOL:
+        raise DomainError("not PSD: matrix is not Hermitian")
+    tr = float((m[0, 0] + m[1, 1]).real)
+    det = float((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real)
+    disc = max(tr * tr / 4.0 - det, 0.0)
+    if tr / 2.0 - math.sqrt(disc) < -PSD_TOL:
+        raise DomainError("not PSD: negative eigenvalue")
+    root_det = math.sqrt(max(det, 0.0))
+    denom_sq = tr + 2.0 * root_det
+    if denom_sq <= 0.0:
+        return as_matrix(np.zeros((2, 2)))
+    return as_matrix((m + root_det * np.eye(2)) / math.sqrt(denom_sq))

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from tracelaurent import (
+    IntervalSystem,
     brute_force_coeffs,
     canonical_matrix,
     canonical_roots,
@@ -25,17 +26,22 @@ from tracelaurent import (
     closed_form_eval,
     comb_height,
     comb_map,
-    interval_system,
     laurent_close,
     normal_form,
-    psd_sqrt,
     trace_power_coeffs,
     trig_eval,
     trig_roots,
     unit_level_roots,
     arc_membership,
 )
-from conftest import GRID6, GRID8_OPEN, match_sets, random_generic_matrix, random_unit_column_matrix
+from conftest import (
+    GRID6,
+    GRID8_OPEN,
+    match_sets,
+    psd_sqrt,
+    random_generic_matrix,
+    random_unit_column_matrix,
+)
 
 MAJ_GRID = (
     math.pi / 8,
@@ -221,7 +227,7 @@ def test_criterion_09_circle_restriction_and_comb():
     # Root systems of the restriction: simple roots inside the open bands,
     # and a 2n multiplicity budget per period on the unit levels.
     for theta in GRID8_OPEN:
-        system = interval_system(theta, 0, 0)
+        system = IntervalSystem(theta, 0, 0)
         for n in range(1, 9):
             roots = trig_roots(n, theta)
             ok = ok and len(roots) == n and bool(np.all(np.diff(roots) > 0))

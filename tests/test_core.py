@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import tracelaurent as tl
 from tracelaurent import DomainError, LaurentPoly, as_matrix, laurent_close
 
 
@@ -120,6 +121,46 @@ class TestClose:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             laurent_close(half_sum(), half_sum(), 0.0)
+
+
+# Every public entry point that takes a degree, with its other arguments.
+DEGREE_CALLS = [
+    ("LaurentPoly", lambda n: LaurentPoly(n, np.ones(7))),
+    ("cheb_eval", lambda n: tl.cheb_eval(n, 0.3)),
+    ("cheb_roots", lambda n: tl.cheb_roots(n)),
+    ("cheb_preimage", lambda n: tl.cheb_preimage(n, 0.3)),
+    ("trace_power_coeffs", lambda n: tl.trace_power_coeffs(n, np.eye(2))),
+    ("brute_force_coeffs", lambda n: tl.brute_force_coeffs(n, np.eye(2))),
+    ("closed_form_coeffs", lambda n: tl.closed_form_coeffs(n, 0.3)),
+    ("closed_form_eval", lambda n: tl.closed_form_eval(n, 0.3, 1j)),
+    ("canonical_roots", lambda n: tl.canonical_roots(n, 0.3)),
+    ("matrix_roots", lambda n: tl.matrix_roots(n, tl.canonical_matrix(0.3))),
+    ("trig_eval", lambda n: tl.trig_eval(n, 0.3, 0.1)),
+    ("trig_coeffs", lambda n: tl.trig_coeffs(n, 0.3)),
+    ("trig_roots", lambda n: tl.trig_roots(n, 0.3)),
+    ("unit_level_roots", lambda n: tl.unit_level_roots(n, 0.3)),
+]
+
+
+class TestDegreeDomain:
+    # A float or bool degree used to run: cheb_roots(2.5) gave three values and
+    # unit_level_roots(True, t) indexed with a boolean mask.
+    @pytest.mark.parametrize("name, call", DEGREE_CALLS, ids=[name for name, _ in DEGREE_CALLS])
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(3.0)], ids=repr)
+    def test_non_integer_degree_rejected(self, name, call, n):
+        with pytest.raises(ValueError, match="degree n must be a positive integer"):
+            call(n)
+
+    @pytest.mark.parametrize("name, call", DEGREE_CALLS, ids=[name for name, _ in DEGREE_CALLS])
+    def test_numpy_integer_degree_accepted(self, name, call):
+        got, want = call(np.int64(3)), call(3)
+        if isinstance(want, LaurentPoly):
+            got, want = got.coeffs, want.coeffs
+        elif isinstance(want, tl.RootReport):
+            got, want = got.roots, want.roots
+        elif isinstance(want, tl.TrigPoly):
+            got, want = got.cos_coeffs, want.cos_coeffs
+        assert np.array_equal(got, want)
 
 
 @given(

@@ -15,13 +15,11 @@ from tracelaurent import (
     canonical_matrix,
     closed_form_coeffs,
     closed_form_eval,
-    eigen_split,
     laurent_close,
     normal_form,
     trace_power_coeffs,
-    transfer_matrix,
 )
-from conftest import GRID6, random_generic_matrix
+from conftest import GRID6, eigen_split, random_generic_matrix, transfer_matrix
 
 F6 = canonical_matrix(math.pi / 6)
 
@@ -181,17 +179,17 @@ class TestClosedForm:
 
 class TestEigenSplit:
     def test_worked_example(self):
-        pair = eigen_split(1.0, math.pi / 6)
-        assert pair.lambda1 == pytest.approx(1 + math.sqrt(3) / 2)
-        assert pair.lambda2 == pytest.approx(1 - math.sqrt(3) / 2)
+        lambda1, lambda2 = eigen_split(1.0, math.pi / 6)
+        assert lambda1 == pytest.approx(1 + math.sqrt(3) / 2)
+        assert lambda2 == pytest.approx(1 - math.sqrt(3) / 2)
 
     def test_product_is_cos_squared(self):
         rng = np.random.default_rng(39)
         for theta in (0.0, 0.3, math.pi / 4):
             for _ in range(5):
                 z = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-                pair = eigen_split(z, theta)
-                assert pair.lambda1 * pair.lambda2 == pytest.approx(
+                lambda1, lambda2 = eigen_split(z, theta)
+                assert lambda1 * lambda2 == pytest.approx(
                     math.cos(2 * theta) ** 2, abs=1e-12
                 )
 
@@ -200,8 +198,8 @@ class TestEigenSplit:
         for theta in GRID6:
             for n in (1, 3, 6):
                 z = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-                pair = eigen_split(z, theta)
-                total = pair.lambda1 ** n + pair.lambda2 ** n
+                lambda1, lambda2 = eigen_split(z, theta)
+                total = lambda1 ** n + lambda2 ** n
                 want = closed_form_eval(n, theta, z)
                 assert abs(total - want) <= 1e-9 * (1.0 + abs(want))
 
@@ -210,9 +208,8 @@ class TestEigenSplit:
         z = 0.9 + 0.4j
         theta = math.pi / 6
         s = transfer_matrix(z, canonical_matrix(theta))
-        pair = eigen_split(z, theta)
         want = sorted(np.linalg.eigvals(s), key=lambda v: (v.real, v.imag))
-        got = sorted([pair.lambda1, pair.lambda2], key=lambda v: (v.real, v.imag))
+        got = sorted(eigen_split(z, theta), key=lambda v: (v.real, v.imag))
         assert got == pytest.approx(want, rel=1e-9)
 
 

@@ -22,12 +22,14 @@ import pytest
 from tracelaurent import (
     DomainError,
     canonical_roots,
+    cheb_eval,
     cheb_preimage,
     closed_form_coeffs,
     closed_form_eval,
     matrix_roots,
     trace_power_coeffs,
     trig_coeffs,
+    trig_eval,
     trig_roots,
     unit_level_roots,
 )
@@ -298,6 +300,26 @@ def test_value_beyond_double_range_is_named():
     table = trace_power_coeffs(1025, np.array([[1.0, 1.0], [1.0, 1.0]]) / math.sqrt(2.0))
     with pytest.raises(DomainError, match="degree 1025 overflow"):
         table.eval(np.array([0.5j, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [lambda: cheb_eval(2000, 2.0), lambda: cheb_eval(2000, 2.0 + 0.5j), lambda: trig_eval(2000, 0.3, 0.1)],
+    ids=["real", "complex", "trig"],
+)
+def test_chebyshev_recurrence_overflow_is_named(evaluate):
+    # The recurrence runs to inf and then forms inf - inf, which was returned as NaN.
+    with pytest.raises(DomainError, match="Chebyshev values of degree 2000 overflow double range"):
+        evaluate()
+
+
+@pytest.mark.parametrize("n, x", [(530, 2.0), (500, 2.0 + 0.5j), (701, -1.5)])
+def test_chebyshev_recurrence_near_double_range(n, x):
+    # The last degrees below the limit stay finite and accurate.
+    got = cheb_eval(n, x)
+    with mpmath.workdps(VALUE_DPS):
+        ref = mpmath.chebyt(n, mpmath.mpmathify(x))
+        assert float(abs(mpmath.mpmathify(got) - ref) / abs(ref)) <= VALUE_REL_TOL
 
 
 def sample_points(rng, size):

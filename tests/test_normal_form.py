@@ -1,4 +1,4 @@
-"""Normal form layer: column data, PSD square root, the parameter triple."""
+"""Normal form layer: column data, the parameter triple, and the Gram square root."""
 
 import math
 
@@ -11,13 +11,10 @@ from tracelaurent import (
     canonical_matrix,
     column_norms,
     column_overlap,
-    is_generic,
     normal_form,
     normalize_columns,
-    phase_unitary,
-    psd_sqrt,
 )
-from conftest import random_generic_matrix, random_unit_column_matrix
+from conftest import psd_sqrt, random_generic_matrix, random_unit_column_matrix
 
 
 def random_unitary(rng):
@@ -29,10 +26,6 @@ def random_unitary(rng):
 class TestColumns:
     def test_pythagorean_norms(self):
         assert column_norms([[3.0, 5.0], [4.0, 12.0]]) == pytest.approx((5.0, 13.0))
-
-    def test_generic_predicate(self):
-        assert is_generic([[1.0, 0.0], [0.0, 1.0]])
-        assert not is_generic([[1.0, 0.0], [2.0, 0.0]])
 
     def test_zero_column_rejected(self):
         with pytest.raises(DomainError):
@@ -240,10 +233,6 @@ class TestCanonical:
     def test_phase_variant_via_conjugation(self):
         # The phased representative is diag(a, 1) conjugation of the real one.
         theta, a = math.pi / 8, complex(math.cos(1.1), math.sin(1.1))
-        u = phase_unitary(a)
+        u = np.diag([a, 1])
         expected = u @ canonical_matrix(theta) @ u.conj().T
         assert canonical_matrix(theta, a) == pytest.approx(expected)
-
-    def test_phase_unitary_validation(self):
-        with pytest.raises(ValueError):
-            phase_unitary(0.5)

@@ -17,16 +17,20 @@ from tracelaurent import (
     closed_form_coeffs,
     matrix_roots,
     normal_form,
-    scaled_joukowski,
-    scaled_joukowski_preimage,
     trace_power_coeffs,
     trig_roots,
 )
 from tracelaurent.roots import _min_gap
-from conftest import GRID8_OPEN, match_sets, random_generic_matrix
+from conftest import GRID8_OPEN, match_sets, random_generic_matrix, scaled_joukowski_preimage
+
+
+def scaled_joukowski(z, theta):
+    return (z + 1.0 / z) / (2.0 * math.cos(2.0 * theta))
 
 
 class TestMap:
+    # The scaled Joukowski map and its preimage pair, the reference that the
+    # vectorized pullback of canonical_roots is checked against bit for bit.
     def test_fixed_points(self):
         assert scaled_joukowski(1.0, 0.0) == pytest.approx(1.0)
         assert scaled_joukowski(1j, math.pi / 6) == pytest.approx(0.0, abs=1e-15)
@@ -35,10 +39,6 @@ class TestMap:
         theta = math.pi / 6
         z = complex(math.cos(2 * theta), math.sin(2 * theta))
         assert scaled_joukowski(z, theta) == pytest.approx(1.0, abs=1e-15)
-
-    def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            scaled_joukowski(0.0, 0.1)
 
     def test_preimage_round_trip(self):
         for w in (0.3, -0.9, 1.5 + 0.5j, -2.0):

@@ -3,8 +3,9 @@
 Every numerical edge of the package is a named constant in core's tolerance
 block (module-level UPPER_CASE assignments), and every domain validator is a
 `check_*` function in core. This test parses the package source and fails on
-a small float literal or a validator defined anywhere else, and on a named
-tolerance that no code reads.
+a small float literal or a validator defined anywhere else, on a named
+tolerance that no code reads, and on an imported name that its module never
+reads.
 """
 
 import ast
@@ -83,3 +84,31 @@ def test_every_tolerance_is_read():
     }
     assert names, "core's tolerance block is empty"
     assert not names - read, "unread tolerances in core: " + ", ".join(sorted(names - read))
+
+
+def test_every_import_is_read():
+    # An import that its module never reads is left over from deleted code.
+    # `__future__` imports, the re-exports of `__init__` and names marked
+    # `# noqa: F401` on their line are exempt.
+    offenders = []
+    for path in _modules():
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for stmt in ast.walk(tree):
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    offenders.append(f"{path.name}:{alias.lineno}: {name}")
+    assert not offenders, "unused imports: " + ", ".join(offenders)

@@ -17,7 +17,6 @@ from tracelaurent import (
     closed_form_eval,
     comb_height,
     comb_map,
-    interval_system,
     trig_coeffs,
     trig_eval,
     trig_roots,
@@ -95,32 +94,32 @@ class TestTrigPoly:
 
 class TestIntervals:
     def test_fundamental(self):
-        system = interval_system(math.pi / 6, 0, 0)
+        system = IntervalSystem(math.pi / 6, 0, 0)
         lo, hi = system.fundamental()
         assert (lo, hi) == pytest.approx((math.pi / 3, 2 * math.pi / 3))
 
     def test_window_listing(self):
-        system = interval_system(math.pi / 8, -1, 1)
+        system = IntervalSystem(math.pi / 8, -1, 1)
         bands = system.intervals()
         assert len(bands) == 3
         assert bands[1] == pytest.approx((math.pi / 4, 3 * math.pi / 4))
         assert bands[2][0] - bands[1][0] == pytest.approx(math.pi)
 
     def test_membership_is_periodic(self):
-        system = interval_system(math.pi / 6, 0, 0)
+        system = IntervalSystem(math.pi / 6, 0, 0)
         assert system.contains(math.pi / 2)
         assert system.contains(math.pi / 2 + 7 * math.pi)
         assert system.contains(math.pi / 2 - 3 * math.pi)
         assert not system.contains(0.1)
 
     def test_open_versus_closed_at_endpoints(self):
-        system = interval_system(math.pi / 6, 0, 0)
+        system = IntervalSystem(math.pi / 6, 0, 0)
         lo, _ = system.fundamental()
         assert system.contains(lo)
         assert not system.contains(lo, open=True)
 
     def test_boundary_distance(self):
-        system = interval_system(math.pi / 6, 0, 0)
+        system = IntervalSystem(math.pi / 6, 0, 0)
         assert system.boundary_distance(math.pi / 3) == pytest.approx(0.0)
         assert system.boundary_distance(math.pi / 2) == pytest.approx(math.pi / 6)
         # Periodic wrap: just below zero sits near the pi - 2 theta endpoint
@@ -140,7 +139,7 @@ class TestRoots:
 
     @pytest.mark.parametrize("theta", GRID8_OPEN)
     def test_roots_annihilate_inside_open_interval(self, theta):
-        system = interval_system(theta, 0, 0)
+        system = IntervalSystem(theta, 0, 0)
         for n in (1, 2, 4, 7):
             roots = trig_roots(n, theta)
             assert len(roots) == n
@@ -182,7 +181,7 @@ class TestUnitLevels:
         assert sum(m for _, _, m in hits) == 2 * n
         for level in (1, -1):
             assert sum(m for _, lv, m in hits if lv == level) == n
-        system = interval_system(theta, 0, 0)
+        system = IntervalSystem(theta, 0, 0)
         lo, hi = system.fundamental()
         for t, level, mult in hits:
             assert lo - 1e-12 <= t <= hi + 1e-12
@@ -231,7 +230,7 @@ class TestComb:
 
     def test_real_values_exactly_on_interval_system(self):
         theta = math.pi / 8
-        system = interval_system(theta, -2, 2)
+        system = IntervalSystem(theta, -2, 2)
         for t in np.linspace(-6.0, 6.0, 241):
             if system.boundary_distance(float(t)) < 1e-9:
                 continue
