@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import DomainError, check_degree, check_double_range
+from .core import DomainError, check_degree, check_double_range, check_finite
 
 __all__ = ["cheb_eval", "cheb_preimage", "cheb_roots"]
 
@@ -22,7 +22,8 @@ def cheb_eval(n: int, x):
     On the real interval [-1, 1] the trigonometric form cos(n arccos x) is
     used; everywhere else the three-term recurrence
     T_{k+1} = 2 x T_k - T_{k-1}. Real input yields a float, complex input a
-    complex. A value beyond double range raises a DomainError naming the degree.
+    complex. A NaN or infinite x raises a DomainError, and so does a value
+    beyond double range, with a message naming the degree.
     """
     check_degree(n)
     if isinstance(x, complex):
@@ -34,6 +35,7 @@ def cheb_eval(n: int, x):
         if abs(x) <= 1.0:
             return math.cos(n * math.acos(x))
         t_prev, t_cur = 1.0, x
+    check_finite(x, "Chebyshev point")
     for _ in range(n - 1):
         t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
     check_double_range(t_cur, "Chebyshev values", n)

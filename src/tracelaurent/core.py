@@ -1,9 +1,10 @@
 """Shared value types, domain validators and named tolerances.
 
 Holds 2x2 complex matrices, dense Laurent coefficient vectors, the one
-validator per input domain (degree, closed angle, open angle, unit phase) and
-every numerical tolerance of the package. The validators and tolerances stay
-out of `__all__`; the other modules import them by name.
+validator per input domain (degree, closed angle, open angle, unit phase,
+finite values) and every numerical tolerance of the package. The angle
+validators return the cos(2 theta) they compute. The validators and
+tolerances stay out of `__all__`; the other modules import them by name.
 """
 
 from __future__ import annotations
@@ -40,20 +41,24 @@ def check_degree(n: int):
         raise ValueError("degree n must be a positive integer")
 
 
-def at_quarter_turn(theta: float) -> bool:
-    """True when the angle counts as pi/4: cos(2 theta) < QUARTER_TURN_EPS."""
-    return math.cos(2.0 * theta) < QUARTER_TURN_EPS
-
-
-def check_angle(theta: float):
+def check_angle(theta: float) -> float:
+    """Validate an angle in [0, pi/4] and return cos(2 theta)."""
     if not 0.0 <= theta <= math.pi / 4 + ANGLE_SLACK:
         raise DomainError("angle must lie in [0, pi/4]")
+    return math.cos(2.0 * theta)
 
 
-def check_open_angle(theta: float):
-    # The arcs close up and the pullback degenerates at the quarter turn.
-    if not 0.0 <= theta < math.pi / 4 or at_quarter_turn(theta):
-        raise DomainError("angle must lie in [0, pi/4)")
+def check_open_angle(theta: float) -> float:
+    """Validate an angle in [0, pi/4) and return cos(2 theta).
+
+    The arcs close up and the pullback degenerates at the quarter turn, where
+    cos(2 theta) falls below QUARTER_TURN_EPS.
+    """
+    if 0.0 <= theta < math.pi / 4:
+        c = math.cos(2.0 * theta)
+        if c >= QUARTER_TURN_EPS:
+            return c
+    raise DomainError("angle must lie in [0, pi/4)")
 
 
 def check_unit_phase(phase: complex):
@@ -61,8 +66,13 @@ def check_unit_phase(phase: complex):
         raise ValueError("phase must have unit magnitude")
 
 
+def check_finite(values, what: str):
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} must be finite")
+
+
 def check_double_range(values, what: str, n: int):
-    # Every input is finite, so a non-finite table means it overflowed.
+    # Every input has passed check_finite, so a non-finite result overflowed.
     if not np.isfinite(values).all():
         raise DomainError(f"{what} of degree {n} overflow double range")
 
@@ -76,8 +86,7 @@ def as_matrix(mat) -> np.ndarray:
     out = np.array(mat, dtype=complex)
     if out.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise DomainError("matrix entries must be finite")
+    check_finite(out, "matrix entries")
     out.flags.writeable = False
     return out
 
@@ -102,8 +111,7 @@ class LaurentPoly:
                 f"need {2 * self.n + 1} coefficients for degree bound {self.n}, "
                 f"got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("coefficients must be finite")
+        check_finite(arr, "coefficients")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
@@ -132,9 +140,9 @@ class LaurentPoly:
         """Evaluate at one nonzero point or at an array of them.
 
         A scalar z gives a complex, an array an ndarray of its shape; every
-        point must be nonzero. Split into a non-negative-power Horner pass in
-        z and a negative-power Horner pass in 1/z, so neither large nor small
-        |z| overflows artificially. Each pass steps once per coefficient over
+        point must be finite and nonzero. Split into a non-negative-power
+        Horner pass in z and a negative-power Horner pass in 1/z, so neither
+        large nor small |z| overflows artificially. Each pass steps once per coefficient over
         all points together, in memory proportional to the number of points.
         Values beyond double range raise a DomainError naming the degree.
         """
@@ -144,6 +152,7 @@ class LaurentPoly:
         z = np.array(z, dtype=complex, ndmin=1)
         if np.any(z == 0):
             raise DomainError("Laurent polynomial evaluation requires z != 0")
+        check_finite(z, "evaluation points")
         c = self.coeffs
         n = self.n
         with np.errstate(over="ignore", invalid="ignore"):

@@ -23,7 +23,8 @@ import numpy as np
 # Not called here any more; the name stays bound because the benchmark's
 # tracer test (perfbench/tests/test_bench_tracer.py) reads family.cheb_eval.
 from .chebyshev import cheb_eval  # noqa: F401
-from .core import DomainError, LaurentPoly, as_matrix, at_quarter_turn, check_angle, check_degree, check_double_range
+from .core import QUARTER_TURN_EPS
+from .core import DomainError, LaurentPoly, as_matrix, check_angle, check_degree, check_double_range, check_finite
 from .normal_form import normal_form
 
 __all__ = [
@@ -136,32 +137,43 @@ def closed_form_eval(n: int, theta: float, z):
     """Value of the canonical family member: 2 c^n T_n(x), x = (z + 1/z) / 2c, c = cos 2t.
 
     A scalar z gives a complex, an array an ndarray of its shape; every point
-    must be nonzero. Each point costs O(1) in log form, exp(n (log c + a)) +
-    exp(n (log c - a)) with a = acosh x on any branch; exactly real x takes
-    the sign-aware real form, whose imaginary part is exactly zero. Within
-    rounding reach of pi/4 the rank-one limit (z + 1/z)^n is taken
-    explicitly. Values beyond double range raise a DomainError naming the degree.
+    must be finite and nonzero. Each point costs O(1) in log form,
+    exp(n (log c + a)) + exp(n (log c - a)) with a = acosh x on any branch;
+    exactly real x takes the sign-aware real form, whose imaginary part is
+    exactly zero. Within rounding reach of pi/4 the rank-one limit
+    (z + 1/z)^n is taken explicitly. Values beyond double range raise a
+    DomainError naming the degree.
     """
     check_degree(n)
-    check_angle(theta)
+    c = check_angle(theta)
     shape = np.shape(z)
     z = np.array(z, dtype=complex, ndmin=1)  # a scalar runs as a one-point array
     if np.any(z == 0):
         raise DomainError("evaluation requires z != 0")
+    check_finite(z, "evaluation points")
+    values = _closed_form_values(n, c, z)
+    return complex(values[0]) if shape == () else values.reshape(shape)
+
+
+def _closed_form_values(n: int, c: float, z: np.ndarray) -> np.ndarray:
+    # closed_form_eval's kernel at a 1-d array of finite nonzero z, c = cos 2 theta;
+    # a branch with no points is skipped. Beyond double range it raises.
     with np.errstate(over="ignore", invalid="ignore"):
         w = z + 1.0 / z
         real = w.imag == 0.0
+        count = np.count_nonzero(real)
         values = np.empty_like(w)
-        if at_quarter_turn(theta):
+        if c < QUARTER_TURN_EPS:
             values[real] = w.real[real] ** n
             values[~real] = w[~real] ** n
         else:
-            c = math.cos(2.0 * theta)
             x = w / (2.0 * c)
-            values[real] = _real_closed_form(n, c, x.real[real])
-            values[~real] = _log_chebyshev(n, math.log(c), np.arccosh(x[~real]))
+            if count:
+                values[real] = _real_closed_form(n, c, x.real[real])
+            if count < real.size:
+                values[~real] = _log_chebyshev(n, math.log(c), np.arccosh(x[~real]))
     check_double_range(values, "closed-form values", n)
-    return complex(values[0]) if shape == () else values.reshape(shape)
+    return values
 
 
 def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
@@ -175,15 +187,14 @@ def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
     DomainError naming the degree.
     """
     check_degree(n)
-    check_angle(theta)
+    c = check_angle(theta)
     coeffs = np.zeros(2 * n + 1)
-    if at_quarter_turn(theta):
+    if c < QUARTER_TURN_EPS:
         row = [math.comb(n, j) for j in range(n + 1)]
         if row[n // 2] > sys.float_info.max:
             raise DomainError(f"closed-form coefficients of degree {n} overflow double range")
         coeffs[::2] = row
     elif theta > 0.0:  # at angle 0 only the edge coefficients are nonzero
-        c = math.cos(2.0 * theta)
         size = 2 * n + 1
         x = np.cos(2.0 * np.pi * np.arange(size) / size) / c
         with np.errstate(over="ignore", invalid="ignore"):

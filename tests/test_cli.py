@@ -8,10 +8,9 @@ import subprocess
 import sys
 import warnings
 
-import numpy as np
 import pytest
 
-from tracelaurent import canonical_matrix, closed_form_coeffs, trace_power_coeffs
+from tracelaurent import canonical_matrix, trace_power_coeffs
 from tracelaurent.cli import _COLUMNS, run
 
 

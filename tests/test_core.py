@@ -1,11 +1,14 @@
 """Container layer: construction, indexing, split-Horner evaluation, comparison."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import tracelaurent as tl
 from tracelaurent import DomainError, LaurentPoly, as_matrix, laurent_close
+from tracelaurent.core import QUARTER_TURN_EPS, check_angle, check_open_angle
 
 
 def half_sum():
@@ -161,6 +164,71 @@ class TestDegreeDomain:
         elif isinstance(want, tl.TrigPoly):
             got, want = got.cos_coeffs, want.cos_coeffs
         assert np.array_equal(got, want)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# Every public evaluator or classifier of a point, with its other arguments.
+POINT_CALLS = [
+    ("LaurentPoly.eval", lambda z: half_sum().eval(z)),
+    ("cheb_eval", lambda z: tl.cheb_eval(3, z)),
+    ("closed_form_eval", lambda z: tl.closed_form_eval(3, 0.3, z)),
+    ("closed_form_eval array", lambda z: tl.closed_form_eval(3, 0.3, np.array([1j, z]))),
+    ("arc_membership", lambda z: tl.arc_membership(z, 0.3)),
+    ("trig_eval", lambda z: tl.trig_eval(3, 0.3, z)),
+    ("TrigPoly.eval", lambda z: tl.TrigPoly(2, [1.0, 0.5, 0.25]).eval(z)),
+    ("comb_map", lambda z: tl.comb_map(z, 0.3)),
+]
+NON_FINITE = [NAN, INF, -INF, complex(NAN, 0.0), complex(NAN, 1.0), complex(1.0, INF), complex(INF, 1.0)]
+
+
+class TestNonFinitePoints:
+    # A NaN point used to come back as NaN or as "outside", or to be reported
+    # as an overflow of double range; an infinite one raised a bare
+    # "math domain error" in comb_map and trig_eval.
+    @pytest.mark.parametrize("name, call", POINT_CALLS, ids=[name for name, _ in POINT_CALLS])
+    @pytest.mark.parametrize("z", NON_FINITE, ids=repr)
+    def test_rejected_as_non_finite(self, name, call, z):
+        with pytest.raises(DomainError, match="must be finite"):
+            call(z)
+
+
+class TestAngleValidators:
+    """The angle validators return the cos(2 theta) every caller used to form
+    itself, bit for bit, and raise exactly where they did."""
+
+    ACCEPTED = [0, 0.0, 1e-300, 1e-3, 0.3, np.float64(0.5), np.pi / 4 - 1e-3, np.pi / 4 - 6e-10]
+
+    @pytest.mark.parametrize("theta", ACCEPTED, ids=repr)
+    def test_open_angle_returns_cos_2theta(self, theta):
+        got = check_open_angle(theta)
+        assert type(got) is float and got == math.cos(2.0 * theta)
+
+    @pytest.mark.parametrize("theta", ACCEPTED + [np.pi / 4 - 1e-10, np.pi / 4, np.pi / 4 + 1e-12], ids=repr)
+    def test_closed_angle_returns_cos_2theta(self, theta):
+        got = check_angle(theta)
+        assert type(got) is float and got == math.cos(2.0 * theta)
+
+    @pytest.mark.parametrize("theta", [-1e-300, np.pi / 4 - 1e-10, np.pi / 4, 1.0, NAN, INF, -INF], ids=repr)
+    def test_open_angle_rejects(self, theta):
+        with pytest.raises(DomainError, match=r"^angle must lie in \[0, pi/4\)$"):
+            check_open_angle(theta)
+
+    @pytest.mark.parametrize("theta", [-1e-300, np.pi / 4 + 2e-12, 1.0, NAN, INF, -INF], ids=repr)
+    def test_closed_angle_rejects(self, theta):
+        with pytest.raises(DomainError, match=r"^angle must lie in \[0, pi/4\]$"):
+            check_angle(theta)
+
+    def test_open_edge_is_the_quarter_turn_tolerance(self):
+        # The open validator accepts exactly where cos(2 theta) >= QUARTER_TURN_EPS.
+        for delta in np.geomspace(1e-11, 1e-8, 40):
+            theta = math.pi / 4 - delta
+            accepted = math.cos(2.0 * theta) >= QUARTER_TURN_EPS
+            try:
+                check_open_angle(theta)
+                assert accepted, theta
+            except DomainError:
+                assert not accepted, theta
 
 
 @given(

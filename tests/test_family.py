@@ -10,7 +10,6 @@ import pytest
 from tracelaurent import (
     DegreeCapError,
     DomainError,
-    LaurentPoly,
     brute_force_coeffs,
     canonical_matrix,
     closed_form_coeffs,

@@ -15,11 +15,13 @@ from tracelaurent import (
     canonical_roots,
     cheb_roots,
     closed_form_coeffs,
+    closed_form_eval,
     matrix_roots,
     normal_form,
     trace_power_coeffs,
     trig_roots,
 )
+from tracelaurent.family import _matrix_eval
 from tracelaurent.roots import _min_gap
 from conftest import GRID8_OPEN, match_sets, random_generic_matrix, scaled_joukowski_preimage
 
@@ -133,22 +135,41 @@ class TestCanonicalRoots:
         assert match_sets(roots, [-z for z in roots], 1e-12)
 
     def test_min_gap_is_pairwise_minimum(self):
-        # The report takes the gap over angle-sorted neighbours, wrap-around
-        # pair included; on one circle that is the minimum over all pairs.
+        # The report reads the gap off neighbours in pullback order: consecutive
+        # upper roots, consecutive lower roots and the two conjugate pairs at
+        # the ends. On one circle that is the minimum over all pairs.
         rng = np.random.default_rng(87)
         reports = [
             canonical_roots(n, theta)
-            for n in (1, 2, 7, 64)
+            for n in (1, 2, 7, 64, 1024)
             for theta in (1e-3, 0.3, math.pi / 4 - 1e-3)
         ]
         reports += [matrix_roots(n, random_generic_matrix(rng)) for n in (1, 5, 16, 64)]
+        reports.append(matrix_roots(1024, canonical_matrix(0.3) @ np.diag([1.02, 1 / 1.02])))
         for report in reports:
-            pairwise = np.abs(report.roots[:, None] - report.roots[None, :])
-            np.fill_diagonal(pairwise, np.inf)
+            roots = report.roots
+            pairwise = np.full(len(roots), np.inf)
+            for start in range(0, len(roots), 256):  # blocks keep the n = 1024 table small
+                block = np.abs(roots[start:start + 256, None] - roots[None, :])
+                block[np.arange(len(block)), start + np.arange(len(block))] = np.inf
+                pairwise[start:start + 256] = block.min(axis=1)
             assert report.min_pairwise_gap == pairwise.min()
-        # A closest pair that straddles the cut of the angle at -1.
-        ring = np.exp(1j * np.array([0.0, 1.0, 3.13, 2.0, -3.13]))
-        assert _min_gap(ring) == abs(ring[2] - ring[4])
+
+    @pytest.mark.parametrize("angles", [(3.13, 2.0, 1.0, 0.5), (2.6, 2.0, 1.0, 0.01)])
+    def test_min_gap_counts_the_conjugate_pairs_at_both_ends(self, angles):
+        # A ring in pullback order, upper roots with real parts ascending, each
+        # followed by its conjugate, whose closest pair straddles the real axis
+        # at angle ~pi (first case) or ~0 (second): the chord 2 sin(angle).
+        ring = np.empty(8, dtype=complex)
+        ring[0::2] = np.exp(1j * np.array(angles))
+        ring[1::2] = ring[0::2].conj()
+        closest = min(angles[0], angles[-1], key=math.sin)
+        assert _min_gap(ring) == pytest.approx(2.0 * math.sin(closest), rel=1e-14)
+
+    def test_min_gap_of_a_single_pair(self):
+        # n = 1: the only pair straddles the real axis, and is both end pairs.
+        report = canonical_roots(1, 0.3)
+        assert report.min_pairwise_gap == np.abs(report.roots[0] - report.roots[1])
 
     @pytest.mark.parametrize("n, theta", [(1, 0.0), (7, 0.3), (64, math.pi / 4 - 1e-3), (256, 1e-3)])
     def test_pullback_matches_preimage_loop_bit_for_bit(self, n, theta):
@@ -216,41 +237,68 @@ class TestMatrixRoots:
             matrix_roots(2, mat)
 
 
+class TestConjugateResiduals:
+    """A conjugate pair shares one residual, evaluated once at the upper root;
+    the copy must equal a full evaluation at all 2n roots bit for bit."""
+
+    @pytest.mark.parametrize("theta", [1e-3, 0.3, math.pi / 4 - 1e-3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1024])
+    def test_canonical_roots(self, n, theta):
+        report = canonical_roots(n, theta)
+        residuals = report.residuals
+        assert residuals[0::2].tobytes() == residuals[1::2].tobytes()
+        assert residuals.tobytes() == np.abs(closed_form_eval(n, theta, report.roots)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1024])
+    def test_matrix_roots(self, n):
+        rng = np.random.default_rng(n)
+        mats = [canonical_matrix(0.3) @ np.diag([1.02, 1 / 1.02])]
+        if n < 1024:  # beyond, |det M|^n of a random matrix may leave double range
+            mats += [random_generic_matrix(rng) for _ in range(5)]
+        for mat in mats:
+            report = matrix_roots(n, mat)
+            residuals = report.residuals
+            assert residuals[0::2].tobytes() == residuals[1::2].tobytes()
+            assert residuals.tobytes() == np.abs(_matrix_eval(n, mat, report.roots)).tobytes()
+
+
 class TestOneEvaluationPerCall:
-    """Residuals come from one array evaluation per call, whatever the degree,
-    so a per-root loop, or a return to the matrix's coefficient table, fails
-    here without any timing."""
+    """Residuals come from one kernel call over the n upper roots, whatever the
+    degree, so a per-root loop, an evaluation at the conjugate roots too, or a
+    return to the matrix's coefficient table, fails here without any timing."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"closed_form_eval": 0, "_matrix_eval": 0, "LaurentPoly.eval": 0,
-                  "trace_power_coeffs": 0}
+        counts = {"closed_form_eval": [], "_closed_form_values": [], "_matrix_eval": [],
+                  "LaurentPoly.eval": [], "trace_power_coeffs": []}
 
-        def counted(name, fn):
+        def counted(name, fn, points):
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                counts[name].append(points(args))
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("closed_form_eval", "_matrix_eval"):
-            monkeypatch.setattr(tracelaurent.roots, name, counted(name, getattr(tracelaurent.roots, name)))
+        for name in ("closed_form_eval", "_closed_form_values", "_matrix_eval"):
+            fn = getattr(tracelaurent.roots, name)
+            monkeypatch.setattr(tracelaurent.roots, name, counted(name, fn, lambda args: np.size(args[2])))
         # Counted wherever roots could look the table route up.
-        table = counted("trace_power_coeffs", tracelaurent.family.trace_power_coeffs)
+        table = counted("trace_power_coeffs", tracelaurent.family.trace_power_coeffs, lambda args: 0)
         monkeypatch.setattr(tracelaurent.family, "trace_power_coeffs", table)
         monkeypatch.setattr(tracelaurent.roots, "trace_power_coeffs", table, raising=False)
-        monkeypatch.setattr(LaurentPoly, "eval", counted("LaurentPoly.eval", LaurentPoly.eval))
+        evaluate = counted("LaurentPoly.eval", LaurentPoly.eval, lambda args: np.size(args[1]))
+        monkeypatch.setattr(LaurentPoly, "eval", evaluate)
         return counts
 
     @pytest.mark.parametrize("n", [1, 8, 64, 300])
     def test_canonical_roots(self, calls, n):
         canonical_roots(n, 0.3)
-        assert calls == {"closed_form_eval": 1, "_matrix_eval": 0, "LaurentPoly.eval": 0,
-                         "trace_power_coeffs": 0}
+        assert calls == {"closed_form_eval": [], "_closed_form_values": [n], "_matrix_eval": [],
+                         "LaurentPoly.eval": [], "trace_power_coeffs": []}
 
     @pytest.mark.parametrize("n", [1, 8, 64, 300])
     def test_matrix_roots(self, calls, n):
         # The canonical pullback is shared, not the canonical report: no
         # canonical residuals are computed only to be discarded.
         matrix_roots(n, canonical_matrix(0.3) @ np.diag([1.1, 0.9]))
-        assert calls == {"closed_form_eval": 0, "_matrix_eval": 1, "LaurentPoly.eval": 0,
-                         "trace_power_coeffs": 0}
+        assert calls == {"closed_form_eval": [], "_closed_form_values": [], "_matrix_eval": [n],
+                         "LaurentPoly.eval": [], "trace_power_coeffs": []}

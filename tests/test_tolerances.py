@@ -4,8 +4,8 @@ Every numerical edge of the package is a named constant in core's tolerance
 block (module-level UPPER_CASE assignments), and every domain validator is a
 `check_*` function in core. This test parses the package source and fails on
 a small float literal or a validator defined anywhere else, on a named
-tolerance that no code reads, and on an imported name that its module never
-reads.
+tolerance that no code reads, and on an imported name that its module, test
+file or demo never reads.
 """
 
 import ast
@@ -14,6 +14,7 @@ from pathlib import Path
 import tracelaurent
 
 PACKAGE = Path(tracelaurent.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 SMALL = 1e-6
 
 
@@ -87,12 +88,14 @@ def test_every_tolerance_is_read():
 
 
 def test_every_import_is_read():
-    # An import that its module never reads is left over from deleted code.
-    # `__future__` imports, the re-exports of `__init__` and names marked
-    # `# noqa: F401` on their line are exempt.
+    # An import that its module, test file or demo never reads is left over
+    # from deleted code. `__future__` imports, the re-exports of the package's
+    # `__init__` and names marked `# noqa: F401` on their line are exempt.
+    tests, demos = (sorted((REPO / name).glob("*.py")) for name in ("tests", "demos"))
+    assert demos, "demos not found"
     offenders = []
-    for path in _modules():
-        if path.name == "__init__.py":
+    for path in [*_modules(), *tests, *demos]:
+        if path == PACKAGE / "__init__.py":
             continue
         source = path.read_text()
         lines = source.splitlines()
