@@ -1,8 +1,9 @@
 """Chebyshev polynomials of the first kind: values, roots, and preimages.
 
-T_n satisfies T_n(cos a) = cos(n a). Everything here is elementary and
-self-contained; the rest of the package leans on these three operations for
-its closed forms and root pullbacks.
+T_n(cos a) = cos(n a) and T_n(cosh a) = cosh(n a). Every T_n value in the
+package comes from one O(1)-per-point array kernel for 2 c^n T_n(x), the form
+the family takes; it, the roots and the preimages serve the closed forms and
+root pullbacks of the other modules.
 """
 
 from __future__ import annotations
@@ -16,30 +17,47 @@ from .core import DomainError, check_degree, check_double_range, check_finite
 __all__ = ["cheb_eval", "cheb_preimage", "cheb_roots"]
 
 
-def cheb_eval(n: int, x):
-    """Value of T_n at a real or complex point.
+def _scaled_cheb(n: int, log_c: float, x: np.ndarray) -> np.ndarray:
+    # 2 c^n T_n(x) at a 1-d array of finite x, c^n and T_n unable to over- or underflow
+    # apart: exp(n (log c + a)) + exp(n (log c - a)), a = acosh x on any branch, as
+    # cosh(n a) is even in a. Exactly real x stay real: 2 c^n cos(n acos x) on [-1, 1],
+    # sign(x)^n times the log form at acosh|x| outside. Empty branches are skipped;
+    # callers silence numpy's overflow warnings and check the range.
+    real = x.imag == 0.0
+    count = np.count_nonzero(real)
+    values = np.empty_like(x)
+    if count:
+        r = x.real[real]
+        alpha = np.arccosh(np.maximum(np.abs(r), 1.0))
+        wave = np.cos(n * np.arccos(np.clip(r, -1.0, 1.0)))
+        values[real] = (np.exp(n * (log_c + alpha)) + np.exp(n * (log_c - alpha))) * wave
+    if count < real.size:
+        alpha = np.arccosh(x[~real])
+        values[~real] = np.exp(n * (log_c + alpha)) + np.exp(n * (log_c - alpha))
+    return values
 
-    On the real interval [-1, 1] the trigonometric form cos(n arccos x) is
-    used; everywhere else the three-term recurrence
-    T_{k+1} = 2 x T_k - T_{k-1}. Real input yields a float, complex input a
-    complex. A NaN or infinite x raises a DomainError, and so does a value
-    beyond double range, with a message naming the degree.
+
+def cheb_eval(n: int, x):
+    """Value of T_n at real or complex points, O(1) per point.
+
+    A scalar gives a scalar (a float for real input, a complex for complex),
+    an array an ndarray of its shape. A real scalar on [-1, 1] takes
+    cos(n arccos x) directly; every other point takes half the kernel
+    2 c^n T_n(x) at c = 1. A NaN or infinite x raises a DomainError, and so
+    does a value beyond double range, with a message naming the degree.
     """
     check_degree(n)
-    if isinstance(x, complex):
-        if x.imag == 0.0 and abs(x.real) <= 1.0:
-            return complex(math.cos(n * math.acos(x.real)))
-        t_prev, t_cur = 1.0 + 0j, x
-    else:
-        x = float(x)
-        if abs(x) <= 1.0:
-            return math.cos(n * math.acos(x))
-        t_prev, t_cur = 1.0, x
+    if isinstance(x, (int, float)) and -1.0 <= x <= 1.0:
+        return math.cos(n * math.acos(x))
+    if isinstance(x, complex) and x.imag == 0.0 and -1.0 <= x.real <= 1.0:
+        return complex(math.cos(n * math.acos(x.real)))
     check_finite(x, "Chebyshev point")
-    for _ in range(n - 1):
-        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-    check_double_range(t_cur, "Chebyshev values", n)
-    return t_cur
+    shape = np.shape(x)
+    x = np.array(x, dtype=complex if np.iscomplexobj(x) else float, ndmin=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = 0.5 * _scaled_cheb(n, 0.0, x)
+    check_double_range(values, "Chebyshev values", n)
+    return values[0].item() if shape == () else values.reshape(shape)
 
 
 def cheb_roots(n: int) -> np.ndarray:

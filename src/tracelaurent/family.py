@@ -20,6 +20,7 @@ import sys
 
 import numpy as np
 
+from .chebyshev import _scaled_cheb
 # Not called here any more; the name stays bound because the benchmark's
 # tracer test (perfbench/tests/test_bench_tracer.py) reads family.cheb_eval.
 from .chebyshev import cheb_eval  # noqa: F401
@@ -109,26 +110,12 @@ def brute_force_coeffs(n: int, mat) -> LaurentPoly:
     return LaurentPoly(n, coeffs)
 
 
-def _log_chebyshev(n: int, log_c, alpha):
-    # 2 c^n T_n(cosh alpha), with c^n and T_n unable to over- or underflow apart;
-    # T_n(cosh alpha) = cosh(n alpha) is even in alpha, so any acosh branch serves.
-    return np.exp(n * (log_c + alpha)) + np.exp(n * (log_c - alpha))
-
-
-def _real_closed_form(n: int, c: float, x: np.ndarray) -> np.ndarray:
-    # 2 c^n T_n(x) at real x: 2 c^n cos(n acos x) on [-1, 1], and outside it
-    # sign(x)^n times the log form at acosh|x|.
-    values = _log_chebyshev(n, math.log(c), np.arccosh(np.maximum(np.abs(x), 1.0)))
-    values *= np.cos(n * np.arccos(np.clip(x, -1.0, 1.0)))
-    return values
-
-
 def _matrix_eval(n: int, mat, z: np.ndarray) -> np.ndarray:
     # L_n(z) of any matrix with det M != 0 at an array of nonzero z, O(1) per
     # point from (a, b, c) of the matrix itself; beyond double range it raises.
     with np.errstate(over="ignore", invalid="ignore"):
         a, b, c = _pencil_params(mat)
-        values = _log_chebyshev(n, math.log(c), np.arccosh((a * z + b / z) / (2.0 * c)))
+        values = _scaled_cheb(n, math.log(c), (a * z + b / z) / (2.0 * c))
     check_double_range(values, "family values", n)
     return values
 
@@ -137,9 +124,8 @@ def closed_form_eval(n: int, theta: float, z):
     """Value of the canonical family member: 2 c^n T_n(x), x = (z + 1/z) / 2c, c = cos 2t.
 
     A scalar z gives a complex, an array an ndarray of its shape; every point
-    must be finite and nonzero. Each point costs O(1) in log form,
-    exp(n (log c + a)) + exp(n (log c - a)) with a = acosh x on any branch;
-    exactly real x takes the sign-aware real form, whose imaginary part is
+    must be finite and nonzero. Each point costs O(1) in the Chebyshev kernel
+    of `chebyshev.py`; exactly real x gives a value whose imaginary part is
     exactly zero. Within rounding reach of pi/4 the rank-one limit
     (z + 1/z)^n is taken explicitly. Values beyond double range raise a
     DomainError naming the degree.
@@ -157,21 +143,15 @@ def closed_form_eval(n: int, theta: float, z):
 
 def _closed_form_values(n: int, c: float, z: np.ndarray) -> np.ndarray:
     # closed_form_eval's kernel at a 1-d array of finite nonzero z, c = cos 2 theta;
-    # a branch with no points is skipped. Beyond double range it raises.
+    # real w stays real in the rank-one power. Beyond double range it raises.
     with np.errstate(over="ignore", invalid="ignore"):
         w = z + 1.0 / z
-        real = w.imag == 0.0
-        count = np.count_nonzero(real)
-        values = np.empty_like(w)
         if c < QUARTER_TURN_EPS:
+            values = w ** n
+            real = w.imag == 0.0
             values[real] = w.real[real] ** n
-            values[~real] = w[~real] ** n
         else:
-            x = w / (2.0 * c)
-            if count:
-                values[real] = _real_closed_form(n, c, x.real[real])
-            if count < real.size:
-                values[~real] = _log_chebyshev(n, math.log(c), np.arccosh(x[~real]))
+            values = _scaled_cheb(n, math.log(c), w / (2.0 * c))
     check_double_range(values, "closed-form values", n)
     return values
 
@@ -180,8 +160,8 @@ def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
     """Coefficient table of the canonical family member by one DFT of its values.
 
     The values 2 c^n T_n(x), x = cos t / c, c = cos 2 theta, are real and even
-    in t. They are sampled at the 2n+1 roots of unity in the sign-aware log form
-    of `_real_closed_form`, and one real DFT gives the table. Angle 0,
+    in t. The Chebyshev kernel samples them at the 2n+1 roots of unity in its
+    sign-aware real form, and one real DFT gives the table. Angle 0,
     the quarter turn and the edge coefficients 1 are exact; other entries are
     accurate relative to the largest. Samples beyond double range raise a
     DomainError naming the degree.
@@ -198,7 +178,7 @@ def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
         size = 2 * n + 1
         x = np.cos(2.0 * np.pi * np.arange(size) / size) / c
         with np.errstate(over="ignore", invalid="ignore"):
-            half = np.fft.rfft(_real_closed_form(n, c, x) / size).real
+            half = np.fft.rfft(_scaled_cheb(n, math.log(c), x) / size).real
         check_double_range(half, "closed-form samples", n)
         coeffs[:n], coeffs[n:] = half[:0:-1], half
         coeffs[1::2] = 0.0

@@ -17,6 +17,7 @@ carried along but never affects the trace-power family.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,13 @@ __all__ = [
 
 
 def _norms(m: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(m) ** 2, axis=0))
+    # Each column is divided by the power of two 2^e just above its largest |entry|
+    # before squaring, so no square under- or overflows. The rescale is exact: norms
+    # that the plain sum of squares gets right come out bit for bit the same.
+    mag = np.abs(m)
+    e = np.frexp(mag.max(axis=0))[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(np.sum(np.ldexp(mag, -e) ** 2, axis=0)), e)
 
 
 def column_norms(mat) -> tuple[float, float]:
@@ -51,12 +58,17 @@ def normalize_columns(mat) -> tuple[np.ndarray, float, float]:
     """Divide each column by its norm.
 
     Returns (unit, scale, dilation): the unit-column matrix, the product of
-    the column norms, and their ratio first/second.
+    the column norms, and their ratio first/second. A scale or dilation
+    outside the normal double range raises a DomainError naming it.
     """
     m = as_matrix(mat)
     r1, r2 = column_norms(m)
+    scale, dilation = r1 * r2, r1 / r2
+    for name, value in (("scale", scale), ("dilation", dilation)):
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise DomainError(f"normal-form {name} {value:.3g} leaves the normal double range")
     unit = as_matrix(m / np.array([r1, r2]))
-    return unit, r1 * r2, r1 / r2
+    return unit, scale, dilation
 
 
 def column_overlap(mat) -> complex:

@@ -35,16 +35,14 @@ __all__ = [
 
 
 def trig_eval(n: int, theta: float, t):
-    """T_n(cos t / cos 2 theta); real input gives a float, complex a complex.
+    """T_n(cos t / cos 2 theta) by `cheb_eval`: scalar in, scalar out; array in, array out.
 
     A NaN or infinite t raises a DomainError.
     """
     check_degree(n)
     c = check_open_angle(theta)
     check_finite(t, "point t")
-    if isinstance(t, complex):
-        return cheb_eval(n, cmath.cos(t) / c)
-    return cheb_eval(n, math.cos(t) / c)
+    return cheb_eval(n, np.cos(t) / c)
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,8 @@ class IntervalSystem:
         ]
 
     def contains(self, t: float, open: bool = False) -> bool:
-        """Periodic membership; `open` restricts to the interior."""
+        """Periodic membership; `open` restricts to the interior. A NaN or infinite t raises."""
+        check_finite(t, "point t")
         r = float(t) % math.pi
         lo, hi = 2.0 * self.theta, math.pi - 2.0 * self.theta
         if open:
@@ -129,7 +128,8 @@ class IntervalSystem:
         return lo <= r <= hi
 
     def boundary_distance(self, t: float) -> float:
-        """Distance from t to the nearest interval endpoint, periodic."""
+        """Distance from t to the nearest interval endpoint, periodic. A NaN or infinite t raises."""
+        check_finite(t, "point t")
         r = float(t) % math.pi
         out = math.inf
         for endpoint in (2.0 * self.theta, math.pi - 2.0 * self.theta):
@@ -172,7 +172,7 @@ def unit_level_roots(n: int, theta: float) -> list[tuple[float, int, int]]:
 
 
 def comb_height(theta: float) -> float:
-    """Common height arccosh(1 / cos 2 theta) of the comb teeth."""
+    """Common height acosh(1 / cos 2 theta) of the comb teeth."""
     return math.acosh(1.0 / check_open_angle(theta))
 
 

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tracelaurent import DomainError, cheb_eval, cheb_preimage, cheb_roots
+from tracelaurent import DomainError, cheb_eval, cheb_preimage, cheb_roots, trig_eval
 
 
 def _factor_pair_eval(n: int, x) -> complex:
     """T_n as the average of the two characteristic-factor powers.
 
     With s = sqrt(x^2 - 1), the factors x + s and x - s multiply to 1 and
-    T_n(x) = ((x+s)^n + (x-s)^n) / 2, a representation independent of
-    `cheb_eval`'s recurrence.
+    T_n(x) = ((x+s)^n + (x-s)^n) / 2, formed by complex powers rather than
+    by `cheb_eval`'s exponentials of n acosh x.
     """
     xc = complex(x)
     s = cmath.sqrt(xc * xc - 1.0)
@@ -77,6 +77,75 @@ class TestEval:
                 for j in range(0, n // 2 + 1)
             )
             assert cheb_eval(n, x) == pytest.approx(total, rel=1e-12)
+
+
+def kernel_points(n: int, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real points inside and outside [-1, 1], and complex points near and off it.
+
+    Outside the segment x = +-cosh(a + ib) with n a <= 500, so T_n(x) stays in
+    double range at every degree.
+    """
+    a = rng.uniform(0.0, 500.0 / n, size)
+    b = rng.uniform(0.0, math.pi, size)
+    inside = np.cos(b)
+    outside = np.cosh(a) * rng.choice([-1.0, 1.0], size)
+    off = np.cosh(a + 1j * b) * rng.choice([-1.0, 1.0], size)
+    return np.concatenate([inside, outside, [1.0, -1.0]]), off
+
+
+def assert_matches_scalar_calls(n, got, x, scalar, arg):
+    """Array results equal elementwise scalar calls, bit for bit off the real
+    segment [-1, 1] of the Chebyshev argument `arg`.
+
+    On it the scalar calls take libm's cos(n acos x) and the array numpy's. The
+    two arccos may differ by one ulp of the angle (numpy's SIMD arccos does on
+    a few percent of points), which n scales: 2 (n + 1) ulp(pi) bounds the gap.
+    """
+    want = np.array([scalar(v) for v in x.ravel()]).reshape(x.shape)
+    assert got.shape == x.shape and got.dtype == want.dtype
+    on = (np.imag(arg) == 0.0) & (np.abs(np.real(arg)) <= 1.0)
+    assert got[~on].tobytes() == want[~on].tobytes()
+    assert np.all(np.abs(got[on] - want[on]) <= 2 * (n + 1) * np.spacing(math.pi))
+
+
+class TestArrays:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1024])
+    def test_real_array_matches_scalar_calls(self, n):
+        real, _ = kernel_points(n, np.random.default_rng(n), 30)
+        x = real.reshape(2, -1)
+        got = cheb_eval(n, x)
+        assert_matches_scalar_calls(n, got, x, lambda v: cheb_eval(n, float(v)), x)
+        assert all(type(cheb_eval(n, float(v))) is float for v in real)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1024])
+    def test_complex_array_matches_scalar_calls(self, n):
+        real, off = kernel_points(n, np.random.default_rng(n + 1), 30)
+        # Complex-typed points that are exactly real take the real form.
+        x = np.concatenate([off, real + 0j]).reshape(2, -1, 2)
+        got = cheb_eval(n, x)
+        assert_matches_scalar_calls(n, got, x, lambda v: cheb_eval(n, complex(v)), x)
+        assert all(type(cheb_eval(n, complex(v))) is complex for v in x.ravel())
+        assert np.all(got.imag[x.imag == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 256])
+    def test_trig_eval_array_matches_scalar_calls(self, n):
+        rng = np.random.default_rng(n + 2)
+        t = rng.uniform(-math.pi, math.pi, 24).reshape(4, 6)
+        for points, kind in ((t, float), (t + 1j * rng.uniform(0.0, 0.5 / n, t.shape), complex)):
+            got = trig_eval(n, 0.3, points)
+            arg = np.cos(points) / math.cos(0.6)
+            assert_matches_scalar_calls(n, got, points, lambda v: trig_eval(n, 0.3, kind(v)), arg)
+
+    def test_lists_and_zero_d_arrays(self):
+        assert cheb_eval(3, [-2.0, 2.0]).tolist() == [cheb_eval(3, -2.0), cheb_eval(3, 2.0)]
+        assert cheb_eval(3, np.array(2.0)) == cheb_eval(3, 2.0)
+        assert cheb_eval(3, np.array([], dtype=complex)).shape == (0,)
+
+    def test_any_non_finite_point_rejected(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            cheb_eval(3, np.array([0.5, np.nan]))
+        with pytest.raises(DomainError, match="must be finite"):
+            trig_eval(3, 0.3, np.array([0.5, np.inf]))
 
 
 class TestRoots:

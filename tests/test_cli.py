@@ -151,6 +151,12 @@ class TestNormalFormCommand:
         assert code == 3
         assert "non-generic" in err
 
+    def test_scale_beyond_double_range_exit_3(self, capsys):
+        # This used to exit 2, the usage-error code, on a well-formed matrix.
+        code, out, err = invoke(capsys, "normal-form", "--matrix", "1e-160,3e-161;2e-161,1e-160")
+        assert (code, out) == (3, "")
+        assert "normal double range" in err
+
 
 class TestRootsCommand:
     def test_canonical(self, capsys):

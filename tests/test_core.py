@@ -178,6 +178,8 @@ POINT_CALLS = [
     ("trig_eval", lambda z: tl.trig_eval(3, 0.3, z)),
     ("TrigPoly.eval", lambda z: tl.TrigPoly(2, [1.0, 0.5, 0.25]).eval(z)),
     ("comb_map", lambda z: tl.comb_map(z, 0.3)),
+    ("IntervalSystem.contains", lambda z: tl.IntervalSystem(0.3, 0, 0).contains(z)),
+    ("IntervalSystem.boundary_distance", lambda z: tl.IntervalSystem(0.3, 0, 0).boundary_distance(z)),
 ]
 NON_FINITE = [NAN, INF, -INF, complex(NAN, 0.0), complex(NAN, 1.0), complex(1.0, INF), complex(INF, 1.0)]
 
@@ -185,7 +187,8 @@ NON_FINITE = [NAN, INF, -INF, complex(NAN, 0.0), complex(NAN, 1.0), complex(1.0,
 class TestNonFinitePoints:
     # A NaN point used to come back as NaN or as "outside", or to be reported
     # as an overflow of double range; an infinite one raised a bare
-    # "math domain error" in comb_map and trig_eval.
+    # "math domain error" in comb_map and trig_eval. IntervalSystem said a NaN
+    # was not contained and put NaN or inf at distance inf from every endpoint.
     @pytest.mark.parametrize("name, call", POINT_CALLS, ids=[name for name, _ in POINT_CALLS])
     @pytest.mark.parametrize("z", NON_FINITE, ids=repr)
     def test_rejected_as_non_finite(self, name, call, z):

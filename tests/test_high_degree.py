@@ -308,7 +308,8 @@ def test_value_beyond_double_range_is_named():
     ids=["real", "complex", "trig"],
 )
 def test_chebyshev_recurrence_overflow_is_named(evaluate):
-    # The recurrence runs to inf and then forms inf - inf, which was returned as NaN.
+    # The three-term recurrence that cheb_eval used to run went to inf and then
+    # formed inf - inf, which was returned as NaN; the kernel must name the limit.
     with pytest.raises(DomainError, match="Chebyshev values of degree 2000 overflow double range"):
         evaluate()
 
@@ -320,6 +321,30 @@ def test_chebyshev_recurrence_near_double_range(n, x):
     with mpmath.workdps(VALUE_DPS):
         ref = mpmath.chebyt(n, mpmath.mpmathify(x))
         assert float(abs(mpmath.mpmathify(got) - ref) / abs(ref)) <= VALUE_REL_TOL
+
+
+def chebyshev_points(rng, n, size):
+    """Real and complex points on, near and off [-1, 1], with |T_n| below ~e^500."""
+    a, b = rng.uniform(0.0, 500.0 / n, size), rng.uniform(0.0, math.pi, size)
+    near = 10.0 ** rng.uniform(-12.0, -4.0, size)
+    real = np.concatenate([np.cos(b), np.cosh(a), -np.cosh(a), 1.0 + near, -1.0 - near])
+    complex_ = np.concatenate([np.cosh(a + 1j * b), np.cos(b) + 1j * near, np.cos(b) + 0j])
+    return real, complex_
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_chebyshev_kernel_against_reference(n):
+    # The error is taken relative to max(1, |T_n|): on [-1, 1] the values are
+    # O(1) and carry an absolute error of ~n ulp of the angle.
+    real, complex_ = chebyshev_points(np.random.default_rng(n), n, 6)
+    worst = 0.0
+    with mpmath.workdps(VALUE_DPS):
+        for x in (real, complex_):
+            for point, value in zip(x, cheb_eval(n, x)):
+                ref = mpmath.chebyt(n, mpmath.mpmathify(point.item()))
+                error = abs(mpmath.mpmathify(value.item()) - ref) / max(1, abs(ref))
+                worst = max(worst, float(error))
+    assert worst <= VALUE_REL_TOL
 
 
 def sample_points(rng, size):

@@ -102,6 +102,47 @@ class TestPsdSqrt:
             psd_sqrt([[1.0, 0.0], [0.0, -1.0]])
 
 
+# A matrix whose column norms are computed through squares: entries below
+# ~1e-154 or above ~1e154 would under- or overflow on squaring.
+BASE = np.array([[1.0, 0.3], [0.2, 1.0]])
+
+
+class TestScaleRange:
+    @pytest.mark.parametrize("s1, s2", [(1e-160, 1e-140), (1e160, 1e140), (1e-200, 1e-100), (1e200, 1e100)])
+    def test_columns_beyond_squaring_range(self, s1, s2):
+        # The product and ratio of the norms are in range, so the normal form
+        # is the base matrix's, rescaled. It used to raise a usage ValueError or
+        # leak numpy's overflow warning.
+        base, got = normal_form(BASE), normal_form(BASE * [s1, s2])
+        assert got.scale == pytest.approx(base.scale * s1 * s2, rel=1e-14)
+        assert got.dilation == pytest.approx(base.dilation * s1 / s2, rel=1e-14)
+        assert got.angle == pytest.approx(base.angle, abs=1e-15)
+
+    def test_norms_in_range_are_unchanged(self):
+        # The power-of-two rescale is exact: where the plain sum of squares
+        # neither under- nor overflows, the norms agree with it bit for bit.
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            m = m * 10.0 ** rng.uniform(-100.0, 100.0, size=(2, 2))
+            plain = np.sqrt(np.sum(np.abs(m) ** 2, axis=0))
+            assert column_norms(m) == tuple(plain.tolist())
+
+    @pytest.mark.parametrize("s, what", [(1e-160, "scale 1.06e-320"), (1e-162, "scale 0"), (1e160, "scale inf")])
+    def test_scale_beyond_normal_range_is_named(self, s, what):
+        # 1e-160 raised the usage error "columns must be unit length", 1e-162 the
+        # false "non-generic matrix: a column is zero", and 1e160 leaked numpy's
+        # overflow warning first.
+        with pytest.raises(DomainError, match=f"normal-form {what} leaves the normal double range"):
+            normal_form(s * BASE)
+
+    def test_dilation_beyond_normal_range_is_named(self):
+        with pytest.raises(DomainError, match="normal-form dilation inf leaves the normal double range"):
+            normal_form(BASE * [1e200, 1e-200])
+        with pytest.raises(DomainError, match="normal-form dilation 0 leaves the normal double range"):
+            normalize_columns(BASE * [1e-200, 1e200])
+
+
 class TestAngle:
     def test_zero_overlap(self):
         nf = normal_form(np.diag([1.0, 2.0]))

@@ -236,6 +236,11 @@ class TestMatrixRoots:
         with pytest.raises(DomainError, match="collapse"):
             matrix_roots(2, mat)
 
+    def test_tiny_matrix_is_out_of_range_not_non_generic(self):
+        # Both columns are nonzero; it used to be reported as a zero column.
+        with pytest.raises(DomainError, match="scale 0 leaves the normal double range"):
+            matrix_roots(16, 1e-170 * np.array([[1.0, 0.3], [0.2, 1.0]]))
+
 
 class TestConjugateResiduals:
     """A conjugate pair shares one residual, evaluated once at the upper root;

@@ -4,8 +4,8 @@ Every numerical edge of the package is a named constant in core's tolerance
 block (module-level UPPER_CASE assignments), and every domain validator is a
 `check_*` function in core. This test parses the package source and fails on
 a small float literal or a validator defined anywhere else, on a named
-tolerance that no code reads, and on an imported name that its module, test
-file or demo never reads.
+tolerance that no code reads, on an imported name that its module, test
+file or demo never reads, and on a Chebyshev log form outside `chebyshev`.
 """
 
 import ast
@@ -115,3 +115,16 @@ def test_every_import_is_read():
                 if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     offenders.append(f"{path.name}:{alias.lineno}: {name}")
     assert not offenders, "unused imports: " + ", ".join(offenders)
+
+
+def test_chebyshev_kernel_only_in_chebyshev():
+    # Every T_n value comes from the one kernel in chebyshev.py; a second log
+    # form elsewhere would be a second implementation of the same idea.
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in _modules()
+        if path.name != "chebyshev.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "arccosh"
+    ]
+    assert not offenders, "use chebyshev._scaled_cheb: " + ", ".join(offenders)
