@@ -82,9 +82,11 @@ def cheb_preimage(n: int, s: float) -> list[tuple[float, int]]:
     m = 0..n-1. For s = +-1 they are the extrema cos(k pi/n) with
     (-1)^k = s, of multiplicity 2 inside and 1 at the ends x = +-1.
 
-    Returns a list of (root, multiplicity) pairs, roots ascending.
+    Returns a list of (root, multiplicity) pairs, roots ascending. A NaN or
+    infinite level raises a DomainError.
     """
     check_degree(n)
+    check_finite(s, "level")
     s = float(s)
     if abs(s) > 1.0:
         raise DomainError("level must lie in [-1, 1]")

@@ -25,7 +25,6 @@ QUARTER_TURN_EPS = 1e-9
 ANGLE_SLACK = 1e-12  # rounding slack above pi/4 in the closed-angle validator
 UNIT_PHASE_TOL = 1e-12  # allowed deviation of |phase| from 1
 UNIT_COLUMN_TOL = 1e-9  # allowed deviation of a column norm from 1 in column_overlap
-MIN_COLUMN_NORM = 1e-300  # a column counts as nonzero above this norm
 BOUNDARY_TOL = 1e-10  # off-circle and arc-endpoint slack in arc_membership
 VERIFY_TOL = 1e-10  # default comparison tolerance of the CLI's --verify
 

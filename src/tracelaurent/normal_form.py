@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_COLUMN_NORM, UNIT_COLUMN_TOL
+from .core import UNIT_COLUMN_TOL
 from .core import DomainError, as_matrix, check_angle, check_unit_phase
 
 __all__ = [
@@ -49,7 +49,7 @@ def column_norms(mat) -> tuple[float, float]:
     """Euclidean norms of the two columns of a generic matrix."""
     m = as_matrix(mat)
     norms = _norms(m)
-    if not (norms[0] > MIN_COLUMN_NORM and norms[1] > MIN_COLUMN_NORM):
+    if not (norms[0] > 0.0 and norms[1] > 0.0):
         raise DomainError("non-generic matrix: a column is zero")
     return float(norms[0]), float(norms[1])
 

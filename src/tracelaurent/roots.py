@@ -43,8 +43,8 @@ def arc_membership(z, theta: float) -> str:
     Returns one of "open_plus", "open_minus", "boundary", "outside". Points
     off the unit circle beyond 1e-10 are outside; on-circle points within
     1e-10 of an arc endpoint are boundary; otherwise strict containment of
-    the principal argument (or its negative) in (2 theta, pi - 2 theta)
-    decides.
+    the principal argument's modulus in (2 theta, pi - 2 theta) decides, and
+    its sign picks the arc.
     """
     check_open_angle(theta)
     z = complex(z)
@@ -54,14 +54,12 @@ def arc_membership(z, theta: float) -> str:
     if abs(abs(z) - 1.0) > BOUNDARY_TOL:
         return "outside"
     a = cmath.phase(z)
-    lo, hi = 2.0 * theta, math.pi - 2.0 * theta
-    boundary = False
-    for phi, label in ((a, "open_plus"), (-a, "open_minus")):
-        if lo + BOUNDARY_TOL < phi < hi - BOUNDARY_TOL:
-            return label
-        if abs(phi - lo) <= BOUNDARY_TOL or abs(phi - hi) <= BOUNDARY_TOL:
-            boundary = True
-    return "boundary" if boundary else "outside"
+    r, lo, hi = abs(a), 2.0 * theta, math.pi - 2.0 * theta
+    if lo + BOUNDARY_TOL < r < hi - BOUNDARY_TOL:
+        return "open_plus" if a > 0.0 else "open_minus"
+    if abs(r - lo) <= BOUNDARY_TOL or abs(r - hi) <= BOUNDARY_TOL:
+        return "boundary"
+    return "outside"
 
 
 def _min_gap(roots: np.ndarray) -> float:

@@ -62,17 +62,16 @@ class TrigPoly:
         object.__setattr__(self, "cos_coeffs", arr)
 
     def eval(self, t):
-        """Value at a real or complex t; a NaN or infinite t raises a DomainError."""
-        if not isinstance(t, complex):
-            t = float(t)
+        """Value at real or complex t: scalar in, scalar out; array in, array out.
+
+        One numpy pass sums cos_coeffs[k] cos(k t) over k. A NaN or infinite t
+        raises a DomainError, and so does a value beyond double range.
+        """
         check_finite(t, "point t")
-        if isinstance(t, complex):
-            return sum(
-                ck * cmath.cos(k * t) for k, ck in enumerate(self.cos_coeffs)
-            )
-        return float(
-            sum(ck * math.cos(k * t) for k, ck in enumerate(self.cos_coeffs))
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.cos(np.multiply.outer(t, np.arange(self.n + 1))) @ self.cos_coeffs
+        check_double_range(values, "cosine polynomial values", self.n)
+        return values.item() if np.ndim(values) == 0 else values
 
 
 def trig_coeffs(n: int, theta: float) -> TrigPoly:
@@ -177,44 +176,33 @@ def comb_height(theta: float) -> float:
 
 
 def comb_map(t, theta: float) -> complex:
-    """The comb coordinate u(t) = i ln(Phi + sqrt(Phi^2 - 1)), Phi = cos t / cos 2 theta.
+    """The comb coordinate u(t) = i acosh(Phi), Phi = cos t / cos 2 theta, principal acosh.
 
-    Defined on the closed upper half-plane. Branches: principal logarithm,
-    square root continuous from above its cut; on real t with |Phi| <= 1 the
-    value is computed directly as -arccos(Phi), which is the real branch on
-    the interval system. Normalizations realized by this choice:
-    u(0) = i * comb_height(theta), and u(t)/t -> 1 up the imaginary axis.
-    The defining identity cos(u(t)) = Phi(t) holds for every branch choice,
-    since (V + 1/V)/2 is unchanged under V -> 1/V. Where Phi + sqrt(Phi^2 - 1)
-    cancels (Phi < -1 and nearby), V is formed as the equal 1/(Phi - sqrt(...)).
+    Defined on the closed upper half-plane, where Im u >= 0. A real t carries
+    Phi as the complex number (Phi, +0.0), on the upper side of acosh's cut,
+    so u is even on the real axis and exactly real on the interval system,
+    from u(2 theta) = 0 through u(pi/2) = -pi/2 to u(pi - 2 theta) = -pi. Gap
+    points with Phi < -1 land on the slit: Re u = -pi and
+    0 < Im u <= comb_height(theta). u(0) = i * comb_height(theta), and
+    u(t)/t -> 1 up the imaginary axis. cos(u(t)) = Phi(t) by construction.
 
-    The value depends on t only through Phi, so this realization repeats with
-    period 2 pi in Re t; gap segments with Phi < -1 land on the reflected
-    side of their slit. A NaN or infinite t raises a DomainError.
+    u is analytic on the open strip |Re t| < pi and repeats with period 2 pi
+    in Re t, with its one seam at Re t = +-pi. A NaN or infinite t raises a
+    DomainError, and so does a t whose cos t / cos 2 theta overflows double
+    range, near Im t = 710 + ln cos 2 theta.
     """
     c = check_open_angle(theta)
     tc = complex(t)
     if tc.imag < 0.0:
         raise DomainError("comb map is defined for Im t >= 0")
-    if tc.imag == 0.0:
-        try:
-            ratio = math.cos(tc.real) / c
-        except ValueError:  # cos(+-inf): left to the finiteness check below
-            ratio = math.nan
-        if abs(ratio) <= 1.0:
-            return complex(-math.acos(ratio))
-        root = math.sqrt(ratio * ratio - 1.0)
-        if ratio >= 1.0:
-            return 1j * math.log(ratio + root)
-        if ratio < -1.0:
-            return 1j * cmath.log(complex(1.0 / (ratio - root), 0.0))
-    # A finite real t has returned above; a NaN ratio fails every comparison.
     if not cmath.isfinite(tc):
         raise DomainError("point t must be finite")
-    w = cmath.cos(tc) / c
-    q = w * w - 1.0
-    if q.imag == 0.0:
-        q = complex(q.real, 0.0)
-    root = cmath.sqrt(q)
-    up, down = w + root, w - root
-    return 1j * cmath.log(up if abs(up) >= abs(down) else 1.0 / down)
+    try:
+        # At real t, cmath.cos would sign the zero imaginary part by -sin t and
+        # put Phi below the cut for half the axis; (Phi, +0.0) keeps it above.
+        phi = complex(math.cos(tc.real) / c, 0.0) if tc.imag == 0.0 else cmath.cos(tc) / c
+    except OverflowError:
+        phi = complex(math.inf)
+    if not cmath.isfinite(phi):
+        raise DomainError("comb map: cos t / cos 2 theta overflows double range (Im t near 710)")
+    return 1j * cmath.acosh(phi)

@@ -213,6 +213,12 @@ class TestPreimage:
         with pytest.raises(DomainError):
             cheb_preimage(3, 1.5)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level(self, s):
+        # A NaN level would otherwise give n NaN roots.
+        with pytest.raises(DomainError, match="level must be finite"):
+            cheb_preimage(4, s)
+
     @given(st.integers(1, 10), st.floats(-1, 1))
     def test_preimages_map_back(self, n, s):
         for x, _ in cheb_preimage(n, s):

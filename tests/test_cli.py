@@ -157,6 +157,11 @@ class TestNormalFormCommand:
         assert (code, out) == (3, "")
         assert "normal double range" in err
 
+    def test_tiny_column_reduces(self, capsys):
+        # A column of norm 1e-301 is not a zero column; scale and dilation are normal.
+        code, _, err = invoke(capsys, "normal-form", "--matrix", "1e-301,1;0,1")
+        assert (code, err) == (0, "")
+
 
 class TestRootsCommand:
     def test_canonical(self, capsys):

@@ -31,6 +31,17 @@ class TestColumns:
         with pytest.raises(DomainError):
             column_norms([[1.0, 0.0], [2.0, 0.0]])
 
+    def test_tiny_column_is_not_zero(self):
+        # A column norm of 1e-301 is a nonzero column; scale 1.41e-301 and
+        # dilation 7.07e-302 are normal doubles, so the matrix reduces.
+        nf = normal_form([[1e-301, 1.0], [0.0, 1.0]])
+        assert nf.scale == pytest.approx(math.sqrt(2.0) * 1e-301, rel=1e-15)
+        assert nf.dilation == pytest.approx(1e-301 / math.sqrt(2.0), rel=1e-15)
+        with pytest.raises(DomainError, match="normal-form scale 1.41e-310 leaves the normal double range"):
+            normal_form([[1e-310, 1.0], [0.0, 1.0]])
+        with pytest.raises(DomainError, match="non-generic matrix: a column is zero"):
+            normal_form([[0.0, 1.0], [0.0, 1.0]])
+
     def test_normalize(self):
         unit, scale, dilation = normalize_columns([[3.0, 5.0], [4.0, 12.0]])
         assert scale == pytest.approx(65.0)

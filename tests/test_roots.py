@@ -1,5 +1,6 @@
 """Root localization: pullback construction, arc classification, matrix route."""
 
+import cmath
 import math
 
 import numpy as np
@@ -60,23 +61,51 @@ class TestMap:
         assert a == b == 1.0
 
 
+# Pinned labels of points at a distance d in argument from an arc endpoint, on
+# the arc's side and off it, at theta = pi/6. Within BOUNDARY_TOL a point is
+# boundary; at d = 1e-10 rounding puts the argument just past that slack, and a
+# point there is neither boundary nor strictly inside.
+ENDPOINT_LABELS = {
+    0.0: ("boundary", "boundary"),
+    1e-16: ("boundary", "boundary"),
+    1e-12: ("boundary", "boundary"),
+    5e-11: ("boundary", "boundary"),
+    1e-10: ("outside", "outside"),
+    2e-10: ("open", "outside"),
+}
+
+
 class TestArcs:
     def test_classification_samples(self):
         theta = math.pi / 6
         assert arc_membership(1j, theta) == "open_plus"
         assert arc_membership(-1j, theta) == "open_minus"
+        assert arc_membership(complex(-0.0, 1.0), theta) == "open_plus"
+        assert arc_membership(complex(-0.0, -1.0), theta) == "open_minus"
         boundary = complex(math.cos(2 * theta), math.sin(2 * theta))
         assert arc_membership(boundary, theta) == "boundary"
         assert arc_membership(1.0, theta) == "outside"
         assert arc_membership(1.5, theta) == "outside"
         assert arc_membership(0.5j, theta) == "outside"
+        for re in (1.0, -1.0):
+            for im in (0.0, -0.0):
+                assert arc_membership(complex(re, im), theta) == "outside"
+        lo, hi = 2 * theta, math.pi - 2 * theta
+        for d, (inner, outer) in ENDPOINT_LABELS.items():
+            for sign, arc in ((1.0, "open_plus"), (-1.0, "open_minus")):
+                for a in (lo + d, hi - d):
+                    label = arc_membership(cmath.exp(1j * sign * a), theta)
+                    assert label == (arc if inner == "open" else inner), (d, sign, a)
+                for a in (lo - d, hi + d):
+                    assert arc_membership(cmath.exp(1j * sign * a), theta) == outer, (d, sign, a)
 
     def test_zero_angle_arcs_cover_all_but_poles(self):
-        import cmath
-
         assert arc_membership(cmath.exp(0.1j), 0.0) == "open_plus"
         assert arc_membership(1.0, 0.0) == "boundary"
         assert arc_membership(-1.0, 0.0) == "boundary"
+        for re in (1.0, -1.0):
+            for im in (0.0, -0.0):
+                assert arc_membership(complex(re, im), 0.0) == "boundary"
 
     def test_angle_at_quarter_rejected(self):
         with pytest.raises(DomainError):

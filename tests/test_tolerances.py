@@ -5,7 +5,8 @@ block (module-level UPPER_CASE assignments), and every domain validator is a
 `check_*` function in core. This test parses the package source and fails on
 a small float literal or a validator defined anywhere else, on a named
 tolerance that no code reads, on an imported name that its module, test
-file or demo never reads, and on a Chebyshev log form outside `chebyshev`.
+file or demo never reads, on a Chebyshev log form outside `chebyshev`, and
+on a numpy call in the scalar hot path `trig.comb_map`.
 """
 
 import ast
@@ -128,3 +129,14 @@ def test_chebyshev_kernel_only_in_chebyshev():
         if isinstance(node, ast.Attribute) and node.attr == "arccosh"
     ]
     assert not offenders, "use chebyshev._scaled_cheb: " + ", ".join(offenders)
+
+
+def test_comb_map_stays_off_numpy():
+    # The zeros workload calls comb_map once per point; a numpy call on one
+    # scalar, such as check_finite, made the comb ops 3-4x slower.
+    tree = ast.parse((PACKAGE / "trig.py").read_text())
+    (comb_map,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "comb_map"
+    ]
+    offenders = {node.id for node in ast.walk(comb_map) if isinstance(node, ast.Name)} & {"np", "check_finite"}
+    assert not offenders, "comb_map reads " + ", ".join(sorted(offenders))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,17 @@ from tracelaurent import (
     unit_level_roots,
 )
 from conftest import GRID8_OPEN
+
+# Angles of the comb checks: near both ends of (0, pi/4) and three between.
+COMB_ANGLES = (0.005, 0.3, math.pi / 6, 0.6, math.pi / 4 - 1e-3, math.pi / 4 - 1e-5)
+
+
+def strip_grid(count, seed=41):
+    """count real points on [-pi, pi], both ends included, and count seeded
+    points of the strip |Re t| <= pi, 0 <= Im t <= 3."""
+    rng = np.random.default_rng(seed)
+    upper = rng.uniform(-math.pi, math.pi, count) + 1j * rng.uniform(0.0, 3.0, count)
+    return np.concatenate([np.linspace(-math.pi, math.pi, count) + 0j, upper])
 
 
 class TestEval:
@@ -68,6 +80,46 @@ class TestTrigPoly:
             for t in np.linspace(-1.0, 4.0, 11):
                 a, b = poly.eval(float(t)), trig_eval(4, theta, float(t))
                 assert abs(a - b) <= 1e-10 * (1.0 + abs(b))
+
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(29)
+        for n, theta in ((8, 0.01), (64, 0.3), (256, math.pi / 8)):
+            poly = trig_coeffs(n, theta)
+            k = np.arange(n + 1)
+            real = rng.uniform(-4.0, 4.0, 40)
+            for ts in (real, real + 1j * rng.uniform(0.0, 0.1, 40), real.reshape(5, 8)):
+                got = poly.eval(ts)
+                assert got.shape == ts.shape
+                for t, value in zip(ts.ravel(), got.ravel()):
+                    scale = np.sum(np.abs(poly.cos_coeffs * np.cos(k * t)))
+                    assert abs(value - poly.eval(t)) <= 1e-15 * scale
+
+    def test_scalar_in_scalar_out(self):
+        poly = trig_coeffs(3, 0.3)
+        assert type(poly.eval(0.5)) is float
+        assert type(poly.eval(0.5 + 0.1j)) is complex
+
+    @pytest.mark.parametrize("theta", [0.01, 0.3])
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_eval_against_mpmath_sum(self, n, theta):
+        # Error relative to sum |c_k cos kt|, the size of the terms that cancel.
+        mpmath = pytest.importorskip("mpmath")
+        poly = trig_coeffs(n, theta)
+        ts = (0.3, 1.2, 2.5, 0.7 + 0.01j, 2.0 + 0.02j)
+        with mpmath.workdps(30):
+            for t in ts:
+                value, mt = poly.eval(t), mpmath.mpc(t)
+                terms = [mpmath.mpf(ck) * mpmath.cos(k * mt) for k, ck in enumerate(poly.cos_coeffs)]
+                miss = abs(mpmath.mpc(value) - mpmath.fsum(terms)) / mpmath.fsum(abs(x) for x in terms)
+                assert float(miss) <= 1e-13
+
+    def test_eval_overflow_is_named(self):
+        # Neither a bare OverflowError nor a RuntimeWarning escapes.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta in (0.01, 0.3):
+                with pytest.raises(DomainError, match="cosine polynomial values of degree 1024 overflow"):
+                    trig_coeffs(1024, theta).eval(1 + 0.8j)
 
     def test_coefficients_from_brute_force(self):
         # Independent route: Laurent table of the canonical matrix, folded.
@@ -272,6 +324,53 @@ class TestComb:
                 miss = abs(mpmath.cos(mpmath.mpc(u.real, u.imag)) - phi) / max(1, abs(phi))
                 worst = max(worst, float(miss))
         assert worst <= 1e-13
+
+    @pytest.mark.parametrize("theta", COMB_ANGLES)
+    def test_upper_half_plane_maps_into_upper_half_plane(self, theta):
+        for t in strip_grid(500):
+            assert comb_map(t, theta).imag >= 0.0, t
+
+    @pytest.mark.parametrize("theta", COMB_ANGLES)
+    def test_continuous_across_quarter_periods(self, theta):
+        # The principal acosh has its seam at Re t = +-pi only.
+        delta = 1e-9
+        for x in (math.pi / 2, -math.pi / 2):
+            step = comb_map(complex(x + delta, 1.0), theta) - comb_map(complex(x - delta, 1.0), theta)
+            assert abs(step) <= 1e-8
+
+    @pytest.mark.parametrize("theta", COMB_ANGLES)
+    def test_real_gap_points_land_on_the_slit(self, theta):
+        c, height = math.cos(2 * theta), comb_height(theta)
+        ts = np.linspace(math.pi - 2 * theta, math.pi, 50)
+        gap = [t for t in (*ts, *-ts) if math.cos(t) / c < -1.0]
+        assert gap
+        for t in gap:
+            u = comb_map(float(t), theta)
+            assert u.real == -math.pi
+            assert 0.0 < u.imag <= height + 1e-12
+        u = comb_map(math.pi, theta)
+        assert u.real == -math.pi
+        assert u.imag == pytest.approx(height, rel=1e-14)
+
+    @pytest.mark.parametrize("theta", COMB_ANGLES)
+    def test_identity_on_strip_against_mpmath(self, theta):
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            c = mpmath.cos(2 * mpmath.mpf(theta))
+            for t in strip_grid(200):
+                u = comb_map(t, theta)
+                phi = mpmath.cos(mpmath.mpc(t.real, t.imag)) / c
+                miss = abs(mpmath.cos(mpmath.mpc(u.real, u.imag)) - phi) / max(1, abs(phi))
+                worst = max(worst, float(miss))
+        assert worst <= 1e-13
+
+    def test_overflow_is_named(self):
+        # cmath.cos overflows at the first point; at the second, cos t fits
+        # but cos t / cos 2 theta does not.
+        for t, theta in ((1 + 800j, 0.3), (1 + 709.5j, math.pi / 4 - 1e-3)):
+            with pytest.raises(DomainError, match="double range"):
+                comb_map(t, theta)
 
     def test_lower_half_plane_rejected(self):
         with pytest.raises(DomainError):
