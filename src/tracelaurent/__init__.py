@@ -10,14 +10,7 @@ together with the associated comb map.
 
 from .core import DomainError, LaurentPoly, as_matrix, laurent_close
 from .chebyshev import cheb_eval, cheb_preimage, cheb_roots
-from .normal_form import (
-    NormalForm,
-    canonical_matrix,
-    column_norms,
-    column_overlap,
-    normal_form,
-    normalize_columns,
-)
+from .normal_form import NormalForm, canonical_matrix, normal_form
 from .family import (
     DegreeCapError,
     brute_force_coeffs,
@@ -62,14 +55,11 @@ __all__ = [
     "cheb_roots",
     "closed_form_coeffs",
     "closed_form_eval",
-    "column_norms",
-    "column_overlap",
     "comb_height",
     "comb_map",
     "laurent_close",
     "matrix_roots",
     "normal_form",
-    "normalize_columns",
     "trace_power_coeffs",
     "trig_coeffs",
     "trig_eval",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = ["DomainError", "LaurentPoly", "as_matrix", "laurent_close"]
 QUARTER_TURN_EPS = 1e-9
 ANGLE_SLACK = 1e-12  # rounding slack above pi/4 in the closed-angle validator
 UNIT_PHASE_TOL = 1e-12  # allowed deviation of |phase| from 1
-UNIT_COLUMN_TOL = 1e-9  # allowed deviation of a column norm from 1 in column_overlap
 BOUNDARY_TOL = 1e-10  # off-circle and arc-endpoint slack in arc_membership
 VERIFY_TOL = 1e-10  # default comparison tolerance of the CLI's --verify
 
@@ -70,10 +70,14 @@ def check_finite(values, what: str):
         raise DomainError(f"{what} must be finite")
 
 
-def check_double_range(values, what: str, n: int):
-    # Every input has passed check_finite, so a non-finite result overflowed.
+def check_double_range(values, what: str, n: int, nonzero: bool = False):
+    # Every input has passed check_finite, so a non-finite result overflowed. A
+    # `nonzero` table (one whose matrix has a nonzero column, so its edge entries
+    # |c1|^2n, |c2|^2n are not both 0) underflowed if all of it is below the normal range.
     if not np.isfinite(values).all():
         raise DomainError(f"{what} of degree {n} overflow double range")
+    if nonzero and np.abs(values).max() < sys.float_info.min:
+        raise DomainError(f"{what} of degree {n} underflow double range")
 
 
 def as_matrix(mat) -> np.ndarray:

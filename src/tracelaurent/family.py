@@ -44,11 +44,12 @@ class DegreeCapError(RuntimeError):
     """Brute-force enumeration requested beyond the supported degree."""
 
 
-def _pencil_params(mat):
-    # a = |c1|^2, b = |c2|^2 and c = |det M|: det S = c^2, L_n = 2 c^n T_n((a z + b/z) / 2c).
-    m = as_matrix(mat)
-    a, b = np.sum(np.abs(m) ** 2, axis=0)
-    return a, b, abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+def _pencil_params(m: np.ndarray):
+    # a = |c1|^2, b = |c2|^2 and c = |det M| of a matrix from as_matrix: det S = c^2,
+    # L_n = 2 c^n T_n((a z + b/z) / 2c). Squares beyond double range come out inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = np.sum(np.abs(m) ** 2, axis=0)
+        return a, b, abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
 def trace_power_coeffs(n: int, mat) -> LaurentPoly:
@@ -57,11 +58,13 @@ def trace_power_coeffs(n: int, mat) -> LaurentPoly:
     With a = |c1|^2, b = |c2|^2 and d = |det M|^2 = det S, the power sums
     obey p_k = (a z + b / z) p_{k-1} - d p_{k-2}, p_0 = 2: two shifted real
     axpys per step, off-parity slots staying exact zeros. A table beyond
-    double range raises a DomainError naming the degree.
+    double range, or a table of a nonzero matrix wholly below it, raises a
+    DomainError naming the degree.
     """
     check_degree(n)
+    m = as_matrix(mat)
+    a, b, c = _pencil_params(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c = _pencil_params(mat)
         d = c ** 2
         prev, cur = np.zeros((2, 2 * n + 1))
         prev[n] = 2.0
@@ -71,7 +74,7 @@ def trace_power_coeffs(n: int, mat) -> LaurentPoly:
             prev[1:] += a * cur[:-1]
             prev[:-1] += b * cur[1:]
             prev, cur = cur, prev
-    check_double_range(cur, "trace-power coefficients", n)
+    check_double_range(cur, "trace-power coefficients", n, nonzero=m.any())
     return LaurentPoly(n, cur)
 
 
@@ -110,16 +113,6 @@ def brute_force_coeffs(n: int, mat) -> LaurentPoly:
     return LaurentPoly(n, coeffs)
 
 
-def _matrix_eval(n: int, mat, z: np.ndarray) -> np.ndarray:
-    # L_n(z) of any matrix with det M != 0 at an array of nonzero z, O(1) per
-    # point from (a, b, c) of the matrix itself; beyond double range it raises.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c = _pencil_params(mat)
-        values = _scaled_cheb(n, math.log(c), (a * z + b / z) / (2.0 * c))
-    check_double_range(values, "family values", n)
-    return values
-
-
 def closed_form_eval(n: int, theta: float, z):
     """Value of the canonical family member: 2 c^n T_n(x), x = (z + 1/z) / 2c, c = cos 2t.
 
@@ -137,22 +130,26 @@ def closed_form_eval(n: int, theta: float, z):
     if np.any(z == 0):
         raise DomainError("evaluation requires z != 0")
     check_finite(z, "evaluation points")
-    values = _closed_form_values(n, c, z)
+    values = _family_values(n, 1.0, 1.0, c, z)
     return complex(values[0]) if shape == () else values.reshape(shape)
 
 
-def _closed_form_values(n: int, c: float, z: np.ndarray) -> np.ndarray:
-    # closed_form_eval's kernel at a 1-d array of finite nonzero z, c = cos 2 theta;
-    # real w stays real in the rank-one power. Beyond double range it raises.
+def _family_values(n: int, a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    # L_n(z) = 2 c^n T_n(w / 2c), w = a z + b/z, of the pencil (a, b, c) at a 1-d array
+    # of finite nonzero z, O(1) per point; the canonical matrix has (1, 1, cos 2 theta).
+    # Where the matrix's cos 2 theta = c / sqrt(a b) is below QUARTER_TURN_EPS, the
+    # rank-one limit w^n is taken, real w staying real; the test scales the edge by
+    # sqrt(a) sqrt(b), so it holds at any matrix scale and forms no a b that could
+    # overflow. Beyond double range it raises.
     with np.errstate(over="ignore", invalid="ignore"):
-        w = z + 1.0 / z
-        if c < QUARTER_TURN_EPS:
+        w = a * z + b / z
+        if c < QUARTER_TURN_EPS * math.sqrt(a) * math.sqrt(b):
             values = w ** n
             real = w.imag == 0.0
             values[real] = w.real[real] ** n
         else:
             values = _scaled_cheb(n, math.log(c), w / (2.0 * c))
-    check_double_range(values, "closed-form values", n)
+    check_double_range(values, "family values", n)
     return values
 
 
@@ -167,7 +164,11 @@ def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
     DomainError naming the degree.
     """
     check_degree(n)
-    c = check_angle(theta)
+    return LaurentPoly(n, _canonical_coeffs(n, theta, check_angle(theta)))
+
+
+def _canonical_coeffs(n: int, theta: float, c: float) -> np.ndarray:
+    # closed_form_coeffs' real table for an angle already validated, c = cos 2 theta.
     coeffs = np.zeros(2 * n + 1)
     if c < QUARTER_TURN_EPS:
         row = [math.comb(n, j) for j in range(n + 1)]
@@ -183,7 +184,7 @@ def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
         coeffs[:n], coeffs[n:] = half[:0:-1], half
         coeffs[1::2] = 0.0
     coeffs[0] = coeffs[-1] = 1.0
-    return LaurentPoly(n, coeffs)
+    return coeffs
 
 
 def _closed_form_matrix_coeffs(n: int, mat) -> LaurentPoly:
@@ -191,13 +192,13 @@ def _closed_form_matrix_coeffs(n: int, mat) -> LaurentPoly:
 
     The canonical table of the matrix's angle is multiplied by
     scale^n dilation^k, formed as exp(n log scale + k log dilation) so that the
-    two factors cannot overflow apart. A table beyond double range raises a
-    DomainError naming the degree.
+    two factors cannot overflow apart. A table beyond double range, or wholly
+    below it, raises a DomainError naming the degree.
     """
     nf = normal_form(mat)
     base = closed_form_coeffs(n, nf.angle)
     with np.errstate(over="ignore", invalid="ignore"):
         logs = n * math.log(nf.scale) + np.arange(-n, n + 1) * math.log(nf.dilation)
         coeffs = base.coeffs * np.exp(logs)
-    check_double_range(coeffs, "closed-form coefficients", n)
+    check_double_range(coeffs, "closed-form coefficients", n, nonzero=True)
     return LaurentPoly(n, coeffs)

@@ -1,4 +1,4 @@
-"""Column normalization and the (scale, dilation, angle) normal form.
+"""The (scale, dilation, angle) normal form of a 2x2 matrix.
 
 A 2x2 complex matrix with two nonzero columns reduces, for the purposes of
 the whole trace-power family, to three real parameters:
@@ -22,16 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UNIT_COLUMN_TOL
 from .core import DomainError, as_matrix, check_angle, check_unit_phase
 
 __all__ = [
     "NormalForm",
     "canonical_matrix",
-    "column_norms",
-    "column_overlap",
     "normal_form",
-    "normalize_columns",
 ]
 
 
@@ -43,46 +39,6 @@ def _norms(m: np.ndarray) -> np.ndarray:
     e = np.frexp(mag.max(axis=0))[1]
     with np.errstate(over="ignore"):
         return np.ldexp(np.sqrt(np.sum(np.ldexp(mag, -e) ** 2, axis=0)), e)
-
-
-def column_norms(mat) -> tuple[float, float]:
-    """Euclidean norms of the two columns of a generic matrix."""
-    m = as_matrix(mat)
-    norms = _norms(m)
-    if not (norms[0] > 0.0 and norms[1] > 0.0):
-        raise DomainError("non-generic matrix: a column is zero")
-    return float(norms[0]), float(norms[1])
-
-
-def normalize_columns(mat) -> tuple[np.ndarray, float, float]:
-    """Divide each column by its norm.
-
-    Returns (unit, scale, dilation): the unit-column matrix, the product of
-    the column norms, and their ratio first/second. A scale or dilation
-    outside the normal double range raises a DomainError naming it.
-    """
-    m = as_matrix(mat)
-    r1, r2 = column_norms(m)
-    scale, dilation = r1 * r2, r1 / r2
-    for name, value in (("scale", scale), ("dilation", dilation)):
-        if not sys.float_info.min <= value <= sys.float_info.max:
-            raise DomainError(f"normal-form {name} {value:.3g} leaves the normal double range")
-    unit = as_matrix(m / np.array([r1, r2]))
-    return unit, scale, dilation
-
-
-def column_overlap(mat) -> complex:
-    """Inner product <col1, col2> of a unit-column matrix.
-
-    This is the off-diagonal entry of the Gram matrix M* M. Columns must be
-    normalized within 1e-9, else the call is a usage error. By the
-    Cauchy-Schwarz inequality the magnitude is at most 1 up to rounding.
-    """
-    m = as_matrix(mat)
-    norms = _norms(m)
-    if np.max(np.abs(norms - 1.0)) > UNIT_COLUMN_TOL:
-        raise ValueError("columns must be unit length (apply normalize_columns first)")
-    return complex(np.vdot(m[:, 0], m[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -112,14 +68,26 @@ class NormalForm:
 def normal_form(mat) -> NormalForm:
     """Reduce a generic matrix to its normal form parameters.
 
-    For the unit-column matrix U, |<u1, u2>| = sin(2 angle) and
-    |det U| = cos(2 angle), so the angle is half their atan2: accurate to
-    rounding up to pi/4, where the arcsine of the overlap alone loses half
-    the digits, and in [0, pi/4] by construction. A zero overlap carries the
-    conventional phase 1.
+    The input is read once: its column norms give the scale and dilation, and
+    dividing by them gives the unit-column matrix U. A zero column, or a scale
+    or dilation outside the normal double range, raises a DomainError naming
+    it. |<u1, u2>| = sin(2 angle) and |det U| = cos(2 angle), so the angle is
+    half their atan2: accurate to rounding up to pi/4, where the arcsine of
+    the overlap alone loses half the digits, and in [0, pi/4] by
+    construction, even where rounding lifts the overlap above 1. A zero
+    overlap carries the conventional phase 1.
     """
-    unit, scale, dilation = normalize_columns(mat)
-    overlap = column_overlap(unit)
+    m = as_matrix(mat)
+    norms = _norms(m)
+    if not (norms[0] > 0.0 and norms[1] > 0.0):
+        raise DomainError("non-generic matrix: a column is zero")
+    r1, r2 = norms.tolist()
+    scale, dilation = r1 * r2, r1 / r2
+    for name, value in (("scale", scale), ("dilation", dilation)):
+        if not sys.float_info.min <= value <= sys.float_info.max:
+            raise DomainError(f"normal-form {name} {value:.3g} leaves the normal double range")
+    unit = m / norms
+    overlap = complex(np.vdot(unit[:, 0], unit[:, 1]))
     mag = abs(overlap)
     det = abs(complex(unit[0, 0] * unit[1, 1] - unit[0, 1] * unit[1, 0]))
     phase = overlap / mag if mag > 0.0 else 1.0 + 0j

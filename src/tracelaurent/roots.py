@@ -22,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import QUARTER_TURN_EPS
-from .core import BOUNDARY_TOL, DomainError, check_degree, check_finite, check_open_angle
+from .core import BOUNDARY_TOL, DomainError, as_matrix, check_degree, check_finite, check_open_angle
 from .chebyshev import cheb_roots
+from .family import _family_values, _pencil_params
 # closed_form_eval is not called here; the name stays bound because the
 # benchmark's tracer test (perfbench/tests/test_bench_tracer.py) reads it.
-from .family import _closed_form_values, _matrix_eval, closed_form_eval  # noqa: F401
+from .family import closed_form_eval  # noqa: F401
 from .normal_form import normal_form
 
 __all__ = [
@@ -42,9 +43,9 @@ def arc_membership(z, theta: float) -> str:
 
     Returns one of "open_plus", "open_minus", "boundary", "outside". Points
     off the unit circle beyond 1e-10 are outside; on-circle points within
-    1e-10 of an arc endpoint are boundary; otherwise strict containment of
-    the principal argument's modulus in (2 theta, pi - 2 theta) decides, and
-    its sign picks the arc.
+    1e-10 of an arc endpoint are boundary; any other point whose principal
+    argument's modulus lies in (2 theta, pi - 2 theta) is on an open arc,
+    picked by the argument's sign; the rest are outside.
     """
     check_open_angle(theta)
     z = complex(z)
@@ -55,10 +56,10 @@ def arc_membership(z, theta: float) -> str:
         return "outside"
     a = cmath.phase(z)
     r, lo, hi = abs(a), 2.0 * theta, math.pi - 2.0 * theta
-    if lo + BOUNDARY_TOL < r < hi - BOUNDARY_TOL:
-        return "open_plus" if a > 0.0 else "open_minus"
     if abs(r - lo) <= BOUNDARY_TOL or abs(r - hi) <= BOUNDARY_TOL:
         return "boundary"
+    if lo < r < hi:
+        return "open_plus" if a > 0.0 else "open_minus"
     return "outside"
 
 
@@ -111,7 +112,7 @@ def canonical_roots(n: int, theta: float) -> RootReport:
     check_degree(n)
     c = check_open_angle(theta)
     roots = _pullback(n, c)
-    residuals = np.repeat(np.abs(_closed_form_values(n, c, roots[0::2])), 2)
+    residuals = np.repeat(np.abs(_family_values(n, 1.0, 1.0, c, roots[0::2])), 2)
     return RootReport(roots, residuals, _min_gap(roots))
 
 
@@ -137,5 +138,5 @@ def matrix_roots(n: int, mat) -> RootReport:
             "localization requires an angle strictly below pi/4"
         )
     roots = _pullback(n, c) / nf.dilation
-    residuals = np.repeat(np.abs(_matrix_eval(n, mat, roots[0::2])), 2)
+    residuals = np.repeat(np.abs(_family_values(n, *_pencil_params(as_matrix(mat)), roots[0::2])), 2)
     return RootReport(roots, residuals, _min_gap(roots))

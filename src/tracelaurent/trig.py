@@ -20,7 +20,7 @@ import numpy as np
 
 from .chebyshev import _extrema, cheb_eval, cheb_roots
 from .core import DomainError, check_degree, check_double_range, check_finite, check_open_angle
-from .family import closed_form_coeffs
+from .family import _canonical_coeffs
 
 __all__ = [
     "IntervalSystem",
@@ -84,9 +84,8 @@ def trig_coeffs(n: int, theta: float) -> TrigPoly:
     """
     check_degree(n)
     c = check_open_angle(theta)
-    poly = closed_form_coeffs(n, theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        cos_coeffs = poly.coeffs.real[n:] * np.float64(c) ** -n
+        cos_coeffs = _canonical_coeffs(n, theta, c)[n:] * np.float64(c) ** -n
     cos_coeffs[0] /= 2.0
     check_double_range(cos_coeffs, "cosine coefficients", n)
     return TrigPoly(n, cos_coeffs)

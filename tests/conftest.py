@@ -34,6 +34,17 @@ def random_unit_column_matrix(rng):
     return m / np.sqrt(np.sum(np.abs(m) ** 2, axis=0))
 
 
+def unit_overlap(mat) -> complex:
+    """Inner product <u1, u2> of the column-normalized matrix, by the plain norms.
+
+    This is the off-diagonal entry of the Gram matrix U* U, of magnitude
+    sin(2 angle) of the normal form; rounding can lift it just above 1.
+    """
+    m = as_matrix(mat)
+    unit = m / np.sqrt(np.sum(np.abs(m) ** 2, axis=0))
+    return complex(np.vdot(unit[:, 0], unit[:, 1]))
+
+
 def match_sets(left, right, tol):
     """Greedy matching of two complex collections within tol; True when bijective."""
     right = list(right)

@@ -409,6 +409,20 @@ class TestOverflow:
         assert f"degree {n} overflow" in err
 
 
+class TestUnderflow:
+    @pytest.mark.parametrize("method", ["trace", "closed"])
+    def test_underflowing_table_exit_3_names_it(self, capsys, method):
+        # The true entries are ~1e-1280; the table used to print as zeros, exit 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(
+                capsys, "coeffs", "--n", "64", "--matrix", "1e-10,3e-11;2e-11,1e-10", "--method", method
+            )
+        assert code == 3
+        assert out == ""
+        assert "degree 64 underflow double range" in err
+
+
 class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

@@ -10,6 +10,7 @@ import pytest
 from tracelaurent import (
     DegreeCapError,
     DomainError,
+    as_matrix,
     brute_force_coeffs,
     canonical_matrix,
     closed_form_coeffs,
@@ -18,6 +19,7 @@ from tracelaurent import (
     normal_form,
     trace_power_coeffs,
 )
+from tracelaurent.family import _closed_form_matrix_coeffs, _family_values, _pencil_params
 from conftest import GRID6, eigen_split, random_generic_matrix, transfer_matrix
 
 F6 = canonical_matrix(math.pi / 6)
@@ -79,6 +81,35 @@ class TestTraceRoute:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="degree 8 overflow"):
                 trace_power_coeffs(8, 1e80 * np.eye(2))
+
+    @pytest.mark.parametrize(
+        "n, mat",
+        [
+            (64, 1e-10 * np.array([[1.0, 0.3], [0.2, 1.0]])),
+            (200, 0.1 * np.array([[1.0, 0.3], [0.2, 1.0]])),
+            (16, 1e-170 * np.array([[1.0, 0.3], [0.2, 1.0]])),
+            (40, np.array([[1e-10, 0.0], [0.0, 0.0]])),
+        ],
+    )
+    def test_underflow_names_degree(self, n, mat):
+        # The true table's largest entry is ~|entry|^(2n): wholly below double
+        # range. It used to come back as an all-zero table; at 1e-170 the
+        # squares inside the recurrence underflow already, and one nonzero
+        # column is enough.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"trace-power coefficients of degree {n} underflow double range"):
+                trace_power_coeffs(n, mat)
+
+    def test_zero_matrix_keeps_exact_zero_table(self):
+        for n in (1, 2, 64):
+            poly = trace_power_coeffs(n, np.zeros((2, 2)))
+            assert np.all(poly.coeffs == 0.0)
+
+    def test_smallest_entries_in_range_are_kept(self):
+        # An edge entry |c1|^2n just inside the normal range still returns a table.
+        poly = trace_power_coeffs(1, [[2e-154, 0.0], [0.0, 2e-154]])
+        assert poly[1] == poly[-1] == 2e-154 ** 2 > 0.0
 
 
 class TestBruteForce:
@@ -168,6 +199,25 @@ class TestClosedForm:
             z = (0.5 + 1.5 * u[:, 0]) + 1j * (-1.0 + 2.0 * u[:, 1])
             a, b = closed_form_eval(5, theta, z), p.eval(z)
             assert np.all(abs(a - b) <= 1e-10 * (1.0 + np.maximum(abs(a), abs(b))))
+
+    def test_matrix_table_underflow_is_named(self):
+        # The rescaled canonical table of a tiny matrix lies wholly below
+        # double range; it used to come back as all zeros.
+        with pytest.raises(DomainError, match="closed-form coefficients of degree 64 underflow double range"):
+            _closed_form_matrix_coeffs(64, 1e-10 * np.array([[1.0, 0.3], [0.2, 1.0]]))
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3, 1e6])
+    def test_value_kernel_rank_one_switch_is_scale_free(self, s):
+        # Scaling a matrix by s scales a, b and c = |det M| by s^2 and L_n by
+        # s^(2n). The rank-one switch reads cos 2 theta = c / sqrt(a b), so a
+        # small generic matrix stays on the Chebyshev branch; comparing c alone
+        # with the edge would send it down (a z + b/z)^n.
+        n, z = 5, np.array([1.3 + 0.4j, -0.7 + 0.9j, 0.5])
+        a, b, c = _pencil_params(as_matrix(canonical_matrix(0.3) @ np.diag([1.2, 0.8])))
+        want = _family_values(n, a, b, c, z)
+        got = _family_values(n, s * s * a, s * s * b, s * s * c, z)
+        want = s ** (2 * n) * want
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_angle_range_checked(self):
         with pytest.raises(DomainError):

@@ -21,6 +21,7 @@ import pytest
 
 from tracelaurent import (
     DomainError,
+    as_matrix,
     canonical_roots,
     cheb_eval,
     cheb_preimage,
@@ -33,7 +34,7 @@ from tracelaurent import (
     trig_roots,
     unit_level_roots,
 )
-from tracelaurent.family import _matrix_eval
+from tracelaurent.family import _family_values, _pencil_params
 from tracelaurent.normal_form import canonical_matrix, normal_form
 from conftest import GRID6
 
@@ -248,7 +249,7 @@ def off_root_points(rng, n, radius, size):
 def test_matrix_values_against_reference(n, index):
     m = unit_scale_matrices()[index]
     z = off_root_points(np.random.default_rng(n + index), n, 1.0 / normal_form(m).dilation, 30)
-    got = _matrix_eval(n, m, z)
+    got = _family_values(n, *_pencil_params(as_matrix(m)), z)
     params = pencil_params(m)
     with mpmath.workdps(VALUE_DPS):
         for point, value in zip(z, got):

@@ -1,20 +1,17 @@
-"""Normal form layer: column data, the parameter triple, and the Gram square root."""
+"""Normal form layer: the parameter triple, its one pass over the input, and the Gram square root."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from tracelaurent import (
-    DomainError,
-    NormalForm,
-    canonical_matrix,
-    column_norms,
-    column_overlap,
-    normal_form,
-    normalize_columns,
-)
-from conftest import psd_sqrt, random_generic_matrix, random_unit_column_matrix
+from tracelaurent import DomainError, NormalForm, canonical_matrix, normal_form
+from conftest import psd_sqrt, random_generic_matrix, random_unit_column_matrix, unit_overlap
+
+
+# The package's `normal_form` attribute is the function; this is its module.
+NF_MODULE = importlib.import_module("tracelaurent.normal_form")
 
 
 def random_unitary(rng):
@@ -25,48 +22,74 @@ def random_unitary(rng):
 
 class TestColumns:
     def test_pythagorean_norms(self):
-        assert column_norms([[3.0, 5.0], [4.0, 12.0]]) == pytest.approx((5.0, 13.0))
+        # Column norms 5 and 13 give scale 65 and dilation 5/13 exactly.
+        nf = normal_form([[3.0, 5.0], [4.0, 12.0]])
+        assert (nf.scale, nf.dilation) == (65.0, 5.0 / 13.0)
+
+    def test_normalize(self):
+        # The unit columns [3, 4]/5 and [5, 12]/13 have overlap 63/65 and
+        # |det| 16/65, a Pythagorean triple: sin and cos of twice the angle.
+        nf = normal_form([[3.0, 5.0], [4.0, 12.0]])
+        assert math.sin(2.0 * nf.angle) == pytest.approx(63.0 / 65.0)
+        assert math.cos(2.0 * nf.angle) == pytest.approx(16.0 / 65.0)
+        assert nf.phase == pytest.approx(1.0)
 
     def test_zero_column_rejected(self):
-        with pytest.raises(DomainError):
-            column_norms([[1.0, 0.0], [2.0, 0.0]])
+        for mat in ([[1.0, 0.0], [2.0, 0.0]], [[0.0, 1.0], [0.0, 2.0]], np.zeros((2, 2))):
+            with pytest.raises(DomainError, match="non-generic matrix: a column is zero"):
+                normal_form(mat)
 
     def test_tiny_column_is_not_zero(self):
         # A column norm of 1e-301 is a nonzero column; scale 1.41e-301 and
         # dilation 7.07e-302 are normal doubles, so the matrix reduces.
         nf = normal_form([[1e-301, 1.0], [0.0, 1.0]])
-        assert nf.scale == pytest.approx(math.sqrt(2.0) * 1e-301, rel=1e-15)
-        assert nf.dilation == pytest.approx(1e-301 / math.sqrt(2.0), rel=1e-15)
+        assert nf.scale == pytest.approx(math.sqrt(2.0) * 1e-301, rel=1e-15, abs=0.0)
+        assert nf.dilation == pytest.approx(1e-301 / math.sqrt(2.0), rel=1e-15, abs=0.0)
         with pytest.raises(DomainError, match="normal-form scale 1.41e-310 leaves the normal double range"):
             normal_form([[1e-310, 1.0], [0.0, 1.0]])
         with pytest.raises(DomainError, match="non-generic matrix: a column is zero"):
             normal_form([[0.0, 1.0], [0.0, 1.0]])
 
-    def test_normalize(self):
-        unit, scale, dilation = normalize_columns([[3.0, 5.0], [4.0, 12.0]])
-        assert scale == pytest.approx(65.0)
-        assert dilation == pytest.approx(5.0 / 13.0)
-        assert np.allclose(np.sqrt(np.sum(np.abs(unit) ** 2, axis=0)), 1.0)
-        assert unit[:, 0] == pytest.approx([0.6, 0.8])
-
-    def test_overlap_requires_unit_columns(self):
-        with pytest.raises(ValueError):
-            column_overlap([[3.0, 5.0], [4.0, 12.0]])
-
     def test_overlap_against_direct_product(self):
+        # phase * sin(2 angle) is the overlap <u1, u2> of the unit columns.
         rng = np.random.default_rng(5)
         for _ in range(25):
             m = random_unit_column_matrix(rng)
             direct = (
                 m[0, 0].conjugate() * m[0, 1] + m[1, 0].conjugate() * m[1, 1]
             )
-            assert column_overlap(m) == pytest.approx(direct)
-            assert abs(column_overlap(m)) <= 1.0 + 1e-12
+            nf = normal_form(m)
+            assert nf.phase * math.sin(2.0 * nf.angle) == pytest.approx(direct)
+            assert unit_overlap(m) == pytest.approx(direct)
 
     def test_canonical_overlap_is_sin_double_angle(self):
         for theta in (0.0, math.pi / 12, math.pi / 6, math.pi / 4):
-            got = column_overlap(canonical_matrix(theta))
-            assert got == pytest.approx(math.sin(2 * theta), abs=1e-14)
+            mat = canonical_matrix(theta)
+            assert unit_overlap(mat) == pytest.approx(math.sin(2 * theta), abs=1e-14)
+            assert normal_form(mat).angle == pytest.approx(theta, abs=1e-15)
+
+
+class TestOnePass:
+    def test_input_coerced_once_and_normed_once(self, monkeypatch):
+        # normal_form reads its input once: one as_matrix copy and one pass of
+        # the scale-robust norms, whatever the matrix.
+        calls = {"as_matrix": 0, "_norms": 0}
+
+        def counted(name):
+            fn = getattr(NF_MODULE, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(NF_MODULE, name, counted(name))
+        rng = np.random.default_rng(3)
+        mats = [random_generic_matrix(rng), 1e-150 * BASE, 1e150 * BASE, [[3.0, 5.0], [4.0, 12.0]]]
+        for count, mat in enumerate(mats, start=1):
+            normal_form(mat)
+            assert calls == {"as_matrix": count, "_norms": count}
 
 
 class TestPsdSqrt:
@@ -125,8 +148,8 @@ class TestScaleRange:
         # is the base matrix's, rescaled. It used to raise a usage ValueError or
         # leak numpy's overflow warning.
         base, got = normal_form(BASE), normal_form(BASE * [s1, s2])
-        assert got.scale == pytest.approx(base.scale * s1 * s2, rel=1e-14)
-        assert got.dilation == pytest.approx(base.dilation * s1 / s2, rel=1e-14)
+        assert got.scale == pytest.approx(base.scale * s1 * s2, rel=1e-14, abs=0.0)
+        assert got.dilation == pytest.approx(base.dilation * s1 / s2, rel=1e-14, abs=0.0)
         assert got.angle == pytest.approx(base.angle, abs=1e-15)
 
     def test_norms_in_range_are_unchanged(self):
@@ -136,8 +159,9 @@ class TestScaleRange:
         for _ in range(300):
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             m = m * 10.0 ** rng.uniform(-100.0, 100.0, size=(2, 2))
-            plain = np.sqrt(np.sum(np.abs(m) ** 2, axis=0))
-            assert column_norms(m) == tuple(plain.tolist())
+            r1, r2 = np.sqrt(np.sum(np.abs(m) ** 2, axis=0)).tolist()
+            nf = normal_form(m)
+            assert (nf.scale, nf.dilation) == (r1 * r2, r1 / r2)
 
     @pytest.mark.parametrize("s, what", [(1e-160, "scale 1.06e-320"), (1e-162, "scale 0"), (1e160, "scale inf")])
     def test_scale_beyond_normal_range_is_named(self, s, what):
@@ -151,7 +175,7 @@ class TestScaleRange:
         with pytest.raises(DomainError, match="normal-form dilation inf leaves the normal double range"):
             normal_form(BASE * [1e200, 1e-200])
         with pytest.raises(DomainError, match="normal-form dilation 0 leaves the normal double range"):
-            normalize_columns(BASE * [1e-200, 1e200])
+            normal_form(BASE * [1e-200, 1e200])
 
 
 class TestAngle:
@@ -177,8 +201,7 @@ class TestAngle:
         for _ in range(50):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             m = np.column_stack([v, 3.0 * v])
-            unit, _, _ = normalize_columns(m)
-            above_one += abs(column_overlap(unit)) > 1.0
+            above_one += abs(unit_overlap(m)) > 1.0
             angle = normal_form(m).angle
             assert 0.0 <= angle <= math.pi / 4
             assert angle == pytest.approx(math.pi / 4, abs=1e-15)

@@ -12,6 +12,7 @@ from tracelaurent import (
     DomainError,
     LaurentPoly,
     arc_membership,
+    as_matrix,
     canonical_matrix,
     canonical_roots,
     cheb_roots,
@@ -22,7 +23,7 @@ from tracelaurent import (
     trace_power_coeffs,
     trig_roots,
 )
-from tracelaurent.family import _matrix_eval
+from tracelaurent.family import _family_values, _pencil_params
 from tracelaurent.roots import _min_gap
 from conftest import GRID8_OPEN, match_sets, random_generic_matrix, scaled_joukowski_preimage
 
@@ -63,14 +64,14 @@ class TestMap:
 
 # Pinned labels of points at a distance d in argument from an arc endpoint, on
 # the arc's side and off it, at theta = pi/6. Within BOUNDARY_TOL a point is
-# boundary; at d = 1e-10 rounding puts the argument just past that slack, and a
-# point there is neither boundary nor strictly inside.
+# boundary; at d = 1e-10 rounding puts the argument just past that slack, so a
+# point there is on the open arc on the arc's side and outside off it.
 ENDPOINT_LABELS = {
     0.0: ("boundary", "boundary"),
     1e-16: ("boundary", "boundary"),
     1e-12: ("boundary", "boundary"),
     5e-11: ("boundary", "boundary"),
-    1e-10: ("outside", "outside"),
+    1e-10: ("open", "outside"),
     2e-10: ("open", "outside"),
 }
 
@@ -98,6 +99,19 @@ class TestArcs:
                     assert label == (arc if inner == "open" else inner), (d, sign, a)
                 for a in (lo - d, hi + d):
                     assert arc_membership(cmath.exp(1j * sign * a), theta) == outer, (d, sign, a)
+
+    @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 8, 0.3, 0.01, 0.7])
+    def test_no_gap_between_boundary_and_open_arc(self, theta):
+        # On-arc points just past BOUNDARY_TOL from an endpoint, such as
+        # exp(i (pi/3 + 1e-10)) at pi/6, used to be labelled "outside": rounding
+        # left them outside the slack but not inside the arc shrunk by it.
+        lo, hi = 2 * theta, math.pi - 2 * theta
+        for a in (lo + 1e-10, hi - 1e-10, lo + 1.5e-10, hi - 1.5e-10):
+            assert arc_membership(cmath.exp(1j * a), theta) == "open_plus", a
+            assert arc_membership(cmath.exp(-1j * a), theta) == "open_minus", a
+        for a in (lo - 1e-10, hi + 1e-10, lo - 1.5e-10, hi + 1.5e-10):
+            assert arc_membership(cmath.exp(1j * a), theta) == "outside", a
+            assert arc_membership(cmath.exp(-1j * a), theta) == "outside", a
 
     def test_zero_angle_arcs_cover_all_but_poles(self):
         assert arc_membership(cmath.exp(0.1j), 0.0) == "open_plus"
@@ -293,7 +307,8 @@ class TestConjugateResiduals:
             report = matrix_roots(n, mat)
             residuals = report.residuals
             assert residuals[0::2].tobytes() == residuals[1::2].tobytes()
-            assert residuals.tobytes() == np.abs(_matrix_eval(n, mat, report.roots)).tobytes()
+            values = _family_values(n, *_pencil_params(as_matrix(mat)), report.roots)
+            assert residuals.tobytes() == np.abs(values).tobytes()
 
 
 class TestOneEvaluationPerCall:
@@ -303,8 +318,8 @@ class TestOneEvaluationPerCall:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"closed_form_eval": [], "_closed_form_values": [], "_matrix_eval": [],
-                  "LaurentPoly.eval": [], "trace_power_coeffs": []}
+        counts = {"closed_form_eval": [], "_family_values": [], "LaurentPoly.eval": [],
+                  "trace_power_coeffs": []}
 
         def counted(name, fn, points):
             def wrapper(*args, **kwargs):
@@ -312,9 +327,10 @@ class TestOneEvaluationPerCall:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("closed_form_eval", "_closed_form_values", "_matrix_eval"):
-            fn = getattr(tracelaurent.roots, name)
-            monkeypatch.setattr(tracelaurent.roots, name, counted(name, fn, lambda args: np.size(args[2])))
+        evaluate = counted("closed_form_eval", tracelaurent.roots.closed_form_eval, lambda args: np.size(args[2]))
+        monkeypatch.setattr(tracelaurent.roots, "closed_form_eval", evaluate)
+        kernel = counted("_family_values", tracelaurent.roots._family_values, lambda args: np.size(args[4]))
+        monkeypatch.setattr(tracelaurent.roots, "_family_values", kernel)
         # Counted wherever roots could look the table route up.
         table = counted("trace_power_coeffs", tracelaurent.family.trace_power_coeffs, lambda args: 0)
         monkeypatch.setattr(tracelaurent.family, "trace_power_coeffs", table)
@@ -326,13 +342,13 @@ class TestOneEvaluationPerCall:
     @pytest.mark.parametrize("n", [1, 8, 64, 300])
     def test_canonical_roots(self, calls, n):
         canonical_roots(n, 0.3)
-        assert calls == {"closed_form_eval": [], "_closed_form_values": [n], "_matrix_eval": [],
-                         "LaurentPoly.eval": [], "trace_power_coeffs": []}
+        assert calls == {"closed_form_eval": [], "_family_values": [n], "LaurentPoly.eval": [],
+                         "trace_power_coeffs": []}
 
     @pytest.mark.parametrize("n", [1, 8, 64, 300])
     def test_matrix_roots(self, calls, n):
         # The canonical pullback is shared, not the canonical report: no
         # canonical residuals are computed only to be discarded.
         matrix_roots(n, canonical_matrix(0.3) @ np.diag([1.1, 0.9]))
-        assert calls == {"closed_form_eval": [], "_closed_form_values": [], "_matrix_eval": [n],
-                         "LaurentPoly.eval": [], "trace_power_coeffs": []}
+        assert calls == {"closed_form_eval": [], "_family_values": [n], "LaurentPoly.eval": [],
+                         "trace_power_coeffs": []}

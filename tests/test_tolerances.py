@@ -5,8 +5,9 @@ block (module-level UPPER_CASE assignments), and every domain validator is a
 `check_*` function in core. This test parses the package source and fails on
 a small float literal or a validator defined anywhere else, on a named
 tolerance that no code reads, on an imported name that its module, test
-file or demo never reads, on a Chebyshev log form outside `chebyshev`, and
-on a numpy call in the scalar hot path `trig.comb_map`.
+file or demo never reads, on a private function that the package itself
+never reads, on a Chebyshev log form outside `chebyshev`, and on a numpy
+call in the scalar hot path `trig.comb_map`.
 """
 
 import ast
@@ -116,6 +117,29 @@ def test_every_import_is_read():
                 if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     offenders.append(f"{path.name}:{alias.lineno}: {name}")
     assert not offenders, "unused imports: " + ", ".join(offenders)
+
+
+def test_every_private_function_is_used_in_the_package():
+    # A private function that only tests reach is a test helper kept in the
+    # package. Importing it does not count; a call or another read in the
+    # package source, such as cli's dispatch table, does.
+    trees = [ast.parse(path.read_text()) for path in _modules()]
+    defined = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert defined, "no private functions found"
+    assert not defined - read, "private functions the package never uses: " + ", ".join(sorted(defined - read))
 
 
 def test_chebyshev_kernel_only_in_chebyshev():
