@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .core import VERIFY_TOL, DomainError, LaurentPoly, laurent_close
+from .core import VERIFY_TOL, DomainError, LaurentPoly, check_open_angle, laurent_close
 from .family import (
     DegreeCapError,
     _closed_form_matrix_coeffs,
@@ -51,16 +51,11 @@ from .trig import IntervalSystem, comb_height, comb_map, trig_coeffs, trig_roots
 __all__ = ["main", "run"]
 
 SCHEMA_VERSION = "1"
-_ANGLE_TOKENS = {
-    "pi/4": math.pi / 4,
-    "pi/6": math.pi / 6,
-    "pi/8": math.pi / 8,
-    "pi/16": math.pi / 16,
-}
+_ANGLE_TOKENS = {f"pi/{k}": math.pi / k for k in (4, 6, 8, 16)}
 
-# The CSV columns of each command. Every handler returns (inputs, data,
-# records), one record per CSV row with its cells in this order; where a
-# JSON list has the same fields, its entries are built from the records too.
+# The CSV columns of each command. Every handler returns (data, records), one
+# record per CSV row with its cells in this order; where a JSON list has the
+# same fields, its entries are built from the records too.
 _COLUMNS = {
     "coeffs": ("k", "re", "im"),
     "normal-form": ("R", "rho", "theta", "a_re", "a_im"),
@@ -140,6 +135,12 @@ def _matrix_json(mat) -> list:
     return [[_cjson(complex(mat[i, j])) for j in range(2)] for i in range(2)]
 
 
+def _input_json(value):
+    if isinstance(value, np.ndarray):
+        return _matrix_json(value)
+    return _cjson(value) if isinstance(value, complex) else value
+
+
 def _entries(command: str, records) -> list[dict]:
     return [dict(zip(_COLUMNS[command], record)) for record in records]
 
@@ -149,7 +150,7 @@ def _coeff_records(poly: LaurentPoly) -> list[tuple]:
 
 
 def _cmd_coeffs(args):
-    tol = _comparison_tol()
+    tol = _comparison_tol() if args.verify else None
     if args.verify and args.theta is None:
         raise ValueError("--verify requires --theta (the cross-check pair is trace vs closed form)")
     n = args.n
@@ -169,61 +170,43 @@ def _cmd_coeffs(args):
             raise _VerifyMismatch(
                 f"trace and closed-form coefficient tables disagree beyond tolerance {tol}"
             )
-    inputs = {
-        "n": n,
-        "theta": None if args.theta is None else float(args.theta),
-        "matrix": None if args.matrix is None else _matrix_json(args.matrix),
-        "method": args.method,
-        "verify": bool(args.verify),
-    }
     records = _coeff_records(poly)
-    return inputs, {"coefficients": _entries("coeffs", records)}, records
+    return {"coefficients": _entries("coeffs", records)}, records
 
 
 def _cmd_normal_form(args):
     nf = normal_form(args.matrix)
     record = (float(nf.scale), float(nf.dilation), float(nf.angle),
               float(nf.phase.real), float(nf.phase.imag))
-    return {"matrix": _matrix_json(args.matrix)}, _entries("normal-form", [record])[0], [record]
+    return _entries("normal-form", [record])[0], [record]
 
 
 def _cmd_roots(args):
-    n = args.n
     if args.theta is not None:
-        report = canonical_roots(n, args.theta)
-        angle = args.theta
-        dilation = 1.0
+        report = canonical_roots(args.n, args.theta)
     else:
-        nf = normal_form(args.matrix)
-        report = matrix_roots(n, args.matrix)
-        angle = nf.angle
-        dilation = nf.dilation
+        report = matrix_roots(args.n, args.matrix)
     # Arc classification is defined on the unit circle; scaled roots are
     # classified through their canonical counterparts.
     records = [
-        (float(z.real), float(z.imag), float(res), arc_membership(complex(z) * dilation, angle))
+        (float(z.real), float(z.imag), float(res),
+         arc_membership(complex(z) * report.dilation, report.angle))
         for z, res in zip(report.roots, report.residuals)
     ]
-    inputs = {
-        "n": n,
-        "theta": None if args.theta is None else float(args.theta),
-        "matrix": None if args.matrix is None else _matrix_json(args.matrix),
-    }
     data = {"roots": _entries("roots", records), "min_pairwise_gap": float(report.min_pairwise_gap)}
-    return inputs, data, records
+    return data, records
 
 
 def _cmd_eval(args):
     closed = complex(closed_form_eval(args.n, args.theta, args.z))
     by_coeffs = trace_power_coeffs(args.n, canonical_matrix(args.theta)).eval(args.z)
     diff = float(abs(closed - by_coeffs))
-    inputs = {"n": args.n, "theta": float(args.theta), "z": _cjson(args.z)}
     data = {
         "closed_form": _cjson(closed),
         "coefficient_eval": _cjson(by_coeffs),
         "abs_difference": diff,
     }
-    return inputs, data, [(closed.real, closed.imag, by_coeffs.real, by_coeffs.imag, diff)]
+    return data, [(closed.real, closed.imag, by_coeffs.real, by_coeffs.imag, diff)]
 
 
 def _cmd_trig(args):
@@ -246,16 +229,15 @@ def _cmd_trig(args):
         *[("unit_level_root", j, t, level, mult) for j, (t, level, mult) in enumerate(levels)],
         *[("interval", p, lo, hi, "") for p, (lo, hi) in intervals],
     ]
-    return {"n": n, "theta": float(theta)}, data, records
+    return data, records
 
 
 def _cmd_comb(args):
     theta, samples = args.theta, args.samples
     if samples < 1:
         raise ValueError("--samples must be >= 1")
-    height = comb_height(theta)
+    c = check_open_angle(theta)
     lo, hi = 2.0 * theta, math.pi - 2.0 * theta
-    c = math.cos(2.0 * theta)
     records = []
     for i in range(samples):
         # Interior grid of the period-0 interval; endpoints excluded.
@@ -263,35 +245,28 @@ def _cmd_comb(args):
         u = comb_map(t, theta)
         residual = abs(cmath.cos(u) - math.cos(t) / c)
         records.append((float(t), float(u.real), float(u.imag), float(residual)))
-    inputs = {"theta": float(theta), "samples": samples}
-    return inputs, {"height": float(height), "samples": _entries("comb", records)}, records
+    return {"height": float(comb_height(theta)), "samples": _entries("comb", records)}, records
 
 
 def _cmd_sweep(args):
     n, grid = args.n, args.theta_grid
     if grid < 1:
         raise ValueError("--theta-grid must be >= 1")
-    if grid == 1:
-        thetas = [0.0]
-    else:
-        thetas = [j * (math.pi / 4) / (grid - 1) for j in range(grid)]
+    thetas = [j * (math.pi / 4) / (grid - 1) for j in range(grid)] if grid > 1 else [0.0]
     tables = []
     records = []
     for theta in thetas:
         table = _coeff_records(closed_form_coeffs(n, theta))
         tables.append({"theta": float(theta), "coefficients": _entries("coeffs", table)})
         records.extend((theta, *record) for record in table)
-    return {"n": n, "theta_grid": grid}, {"tables": tables}, records
+    return {"tables": tables}, records
 
 
-_DISPATCH = {
-    "coeffs": _cmd_coeffs,
-    "normal-form": _cmd_normal_form,
-    "roots": _cmd_roots,
-    "eval": _cmd_eval,
-    "trig": _cmd_trig,
-    "comb": _cmd_comb,
-    "sweep": _cmd_sweep,
+# Options that several commands take; each is required, or one of the pair "--theta|--matrix".
+_OPTIONS = {
+    "--n": dict(type=int, help="degree"),
+    "--theta": dict(type=_parse_theta, help="angle of the canonical matrix"),
+    "--matrix": dict(type=_parse_matrix, help='matrix spec "a+bi,c+di;e+fi,g+hi"'),
 }
 
 
@@ -302,52 +277,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="output document format (default json)")
+    def command(name, handler, help_text, *shared):
+        # `shared` names _OPTIONS in declaration order, which is the order `inputs` echoes.
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        for flag in shared:
+            if flag == "--theta|--matrix":
+                group = p.add_mutually_exclusive_group(required=True)
+                for option in ("--theta", "--matrix"):
+                    group.add_argument(option, **_OPTIONS[option])
+            else:
+                p.add_argument(flag, required=True, **_OPTIONS[flag])
+        return p
 
-    p = sub.add_parser("coeffs", help="coefficient table of a family member")
-    p.add_argument("--n", type=int, required=True, help="degree")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--matrix", type=_parse_matrix, help='matrix spec "a+bi,c+di;e+fi,g+hi"')
-    group.add_argument("--theta", type=_parse_theta, help="angle of the canonical matrix")
+    p = command("coeffs", _cmd_coeffs, "coefficient table of a family member",
+                "--n", "--theta|--matrix")
     p.add_argument("--method", choices=("trace", "closed", "brute"), default="trace")
     p.add_argument("--verify", action="store_true",
                    help="cross-check trace vs closed form; exit 4 on disagreement")
-    add_format(p)
-
-    p = sub.add_parser("normal-form", help="normal form parameters of a matrix")
-    p.add_argument("--matrix", type=_parse_matrix, required=True)
-    add_format(p)
-
-    p = sub.add_parser("roots", help="root localization report")
-    p.add_argument("--n", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--matrix", type=_parse_matrix)
-    group.add_argument("--theta", type=_parse_theta)
-    add_format(p)
-
-    p = sub.add_parser("eval", help="evaluate one family member two ways")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta", type=_parse_theta, required=True)
+    command("normal-form", _cmd_normal_form, "normal form parameters of a matrix", "--matrix")
+    command("roots", _cmd_roots, "root localization report", "--n", "--theta|--matrix")
+    p = command("eval", _cmd_eval, "evaluate one family member two ways", "--n", "--theta")
     p.add_argument("--z", type=_parse_complex, required=True)
-    add_format(p)
-
-    p = sub.add_parser("trig", help="circle restriction: cosine coefficients and root systems")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta", type=_parse_theta, required=True)
-    add_format(p)
-
-    p = sub.add_parser("comb", help="comb map samples on the period-0 interval")
-    p.add_argument("--theta", type=_parse_theta, required=True)
+    command("trig", _cmd_trig, "circle restriction: cosine coefficients and root systems",
+            "--n", "--theta")
+    p = command("comb", _cmd_comb, "comb map samples on the period-0 interval", "--theta")
     p.add_argument("--samples", type=int, required=True)
-    add_format(p)
-
-    p = sub.add_parser("sweep", help="coefficient tables over an angle grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta-grid", dest="theta_grid", type=int, required=True)
-    add_format(p)
-
+    p = command("sweep", _cmd_sweep, "coefficient tables over an angle grid", "--n")
+    p.add_argument("--theta-grid", type=int, required=True)
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="output document format (default json)")
     return parser
 
 
@@ -368,30 +328,30 @@ def _render_csv(command: str, records) -> str:
     return buf.getvalue()
 
 
+# Exit code of each error a handler may raise; the first matching class wins.
+_EXIT_CODES = {_VerifyMismatch: 4, DomainError: 3, DegreeCapError: 2, ValueError: 2}
+
+
 def run(argv) -> int:
     """Execute one invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        inputs, data, records = _DISPATCH[args.command](args)
-    except _VerifyMismatch as exc:
+        data, records = args.handler(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegreeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     if args.format == "csv":
         sys.stdout.write(_render_csv(args.command, records))
     else:
+        # `inputs` echoes every parsed option, in declaration order.
+        inputs = {
+            key: _input_json(value)
+            for key, value in vars(args).items()
+            if key not in ("command", "format", "handler")
+        }
         envelope = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,

@@ -74,11 +74,18 @@ def _min_gap(roots: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class RootReport:
-    """Roots with per-root residuals and the minimum pairwise separation."""
+    """Roots with per-root residuals and the minimum pairwise separation.
+
+    `angle` and `dilation` are the normal-form parameters the pullback used:
+    (theta, 1.0) from `canonical_roots`, the normal form's from `matrix_roots`.
+    Each root z corresponds to the canonical root z * dilation at that angle.
+    """
 
     roots: np.ndarray
     residuals: np.ndarray
     min_pairwise_gap: float
+    angle: float
+    dilation: float
 
     def __post_init__(self):
         roots = np.array(self.roots, dtype=complex)
@@ -113,7 +120,7 @@ def canonical_roots(n: int, theta: float) -> RootReport:
     c = check_open_angle(theta)
     roots = _pullback(n, c)
     residuals = np.repeat(np.abs(_family_values(n, 1.0, 1.0, c, roots[0::2])), 2)
-    return RootReport(roots, residuals, _min_gap(roots))
+    return RootReport(roots, residuals, _min_gap(roots), float(theta), 1.0)
 
 
 def matrix_roots(n: int, mat) -> RootReport:
@@ -139,4 +146,4 @@ def matrix_roots(n: int, mat) -> RootReport:
         )
     roots = _pullback(n, c) / nf.dilation
     residuals = np.repeat(np.abs(_family_values(n, *_pencil_params(as_matrix(mat)), roots[0::2])), 2)
-    return RootReport(roots, residuals, _min_gap(roots))
+    return RootReport(roots, residuals, _min_gap(roots), nf.angle, nf.dilation)

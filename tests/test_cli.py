@@ -1,5 +1,6 @@
 """Command-line interface: envelopes, formats, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -7,11 +8,12 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from tracelaurent import canonical_matrix, trace_power_coeffs
-from tracelaurent.cli import _COLUMNS, run
+from tracelaurent import canonical_matrix, cli, trace_power_coeffs
+from tracelaurent.cli import _COLUMNS, _build_parser, run
 
 
 @pytest.fixture(autouse=True)
@@ -112,6 +114,14 @@ class TestCoeffs:
         code, _, err = invoke(capsys, "coeffs", "--n", "2", "--theta", "pi/6", "--verify")
         assert code == 2
         assert "TRACE_LAURENT_TOL" in err
+
+    def test_tolerance_env_read_only_under_verify(self, capsys, monkeypatch):
+        # The variable sets the --verify tolerance only; a bad value used to
+        # fail every coeffs call with exit 2.
+        monkeypatch.setenv("TRACE_LAURENT_TOL", "garbage")
+        code, out, err = invoke(capsys, "coeffs", "--n", "2", "--theta", "pi/6")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["data"]["coefficients"][2]["re"] == pytest.approx(1.5)
 
     def test_verify_without_theta_exit_2(self, capsys):
         code, _, err = invoke(capsys, "coeffs", "--n", "2", "--matrix", "1,0;0,1", "--verify")
@@ -349,16 +359,27 @@ _JSON_RECORDS = {
 }
 
 
+# One invocation of each command, and the `inputs` its JSON envelope echoes.
+_SPEC = "1+1i,0.5;-0.7,2"
+_SPEC_JSON = [
+    [{"re": 1.0, "im": 1.0}, {"re": 0.5, "im": 0.0}],
+    [{"re": -0.7, "im": 0.0}, {"re": 2.0, "im": 0.0}],
+]
+_INVOCATIONS = [
+    (("coeffs", "--n", "3", "--matrix", _SPEC),
+     {"n": 3, "theta": None, "matrix": _SPEC_JSON, "method": "trace", "verify": False}),
+    (("normal-form", "--matrix", _SPEC), {"matrix": _SPEC_JSON}),
+    (("roots", "--n", "3", "--matrix", _SPEC), {"n": 3, "theta": None, "matrix": _SPEC_JSON}),
+    (("eval", "--n", "3", "--theta", "pi/8", "--z", "0.6+0.9i"),
+     {"n": 3, "theta": math.pi / 8, "z": {"re": 0.6, "im": 0.9}}),
+    (("trig", "--n", "3", "--theta", "pi/8"), {"n": 3, "theta": math.pi / 8}),
+    (("comb", "--theta", "pi/8", "--samples", "5"), {"theta": math.pi / 8, "samples": 5}),
+    (("sweep", "--n", "3", "--theta-grid", "3"), {"n": 3, "theta_grid": 3}),
+]
+
+
 class TestRecordsDerivedForms:
-    @pytest.mark.parametrize("argv", [
-        ("coeffs", "--n", "3", "--matrix", "1+1i,0.5;-0.7,2"),
-        ("normal-form", "--matrix", "1+1i,0.5;-0.7,2"),
-        ("roots", "--n", "3", "--matrix", "1+1i,0.5;-0.7,2"),
-        ("eval", "--n", "3", "--theta", "pi/8", "--z", "0.6+0.9i"),
-        ("trig", "--n", "3", "--theta", "pi/8"),
-        ("comb", "--theta", "pi/8", "--samples", "5"),
-        ("sweep", "--n", "3", "--theta-grid", "3"),
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", [argv for argv, _ in _INVOCATIONS], ids=lambda argv: argv[0])
     def test_csv_matches_declared_columns_and_json(self, capsys, argv):
         doc = invoke_json(capsys, *argv)
         code, out, _ = invoke(capsys, *argv, "--format", "csv")
@@ -377,6 +398,37 @@ class TestRecordsDerivedForms:
                     assert int(cell) == value
                 else:
                     assert cell == value
+
+    @pytest.mark.parametrize("argv, inputs", [
+        *_INVOCATIONS,
+        (("coeffs", "--n", "2", "--theta", "pi/6", "--method", "closed", "--verify"),
+         {"n": 2, "theta": math.pi / 6, "matrix": None, "method": "closed", "verify": True}),
+    ], ids=[argv[0] for argv, _ in _INVOCATIONS] + ["coeffs-verify"])
+    def test_inputs_echo_every_parsed_option(self, capsys, argv, inputs):
+        # Key order and values, pinned: the echo is built from the parsed options.
+        doc = invoke_json(capsys, *argv)
+        assert list(doc["inputs"].items()) == list(inputs.items())
+
+
+def _declared_commands(lines):
+    return list(dict.fromkeys(
+        line.split()[1] for line in lines if line.strip().startswith("tracelaurent ")
+    ))
+
+
+class TestCommandsDeclaredOnce:
+    def test_parser_columns_docstring_and_readme_agree(self):
+        # The parser declares each command once; the column table, the usage
+        # block and README's command block must name the same commands.
+        sub = next(action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        usage = cli.__doc__.split("Usage:", 1)[1].split("\n\n", 1)[0]
+        assert len(_COLUMNS) == 7
+        assert list(sub.choices) == list(_COLUMNS)
+        assert _declared_commands(usage.splitlines()) == list(_COLUMNS)
+        assert _declared_commands(block.splitlines()) == list(_COLUMNS)
 
 
 class TestOverflow:
@@ -421,6 +473,23 @@ class TestUnderflow:
         assert code == 3
         assert out == ""
         assert "degree 64 underflow double range" in err
+
+    @pytest.mark.parametrize("spec, kind", [
+        ("1e-10,3e-11;2e-11,1e-10", "underflow"),
+        ("1e200,3e199;2e199,1e200", "overflow"),
+    ])
+    def test_brute_force_table_out_of_range_exit_3(self, capsys, spec, kind):
+        # n = 16 is within the brute-force cap of 24. The tiny table, wholly
+        # subnormal (~1e-318), used to print with exit 0, and the huge one
+        # leaked numpy warnings first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(
+                capsys, "coeffs", "--n", "16", "--matrix", spec, "--method", "brute"
+            )
+        assert code == 3
+        assert out == ""
+        assert f"brute-force coefficients of degree 16 {kind} double range" in err
 
 
 class TestUsageErrors:

@@ -157,6 +157,19 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_coeffs(0, np.eye(2))
 
+    @pytest.mark.parametrize("scale, kind", [(1e-10, "underflow"), (1e200, "overflow")])
+    def test_range_names_degree(self, scale, kind):
+        # The same range check as the other routes: the tiny table, wholly
+        # subnormal (~1e-318), used to come back unflagged, and the huge one
+        # leaked numpy's warning and then raised "coefficients must be finite".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"brute-force coefficients of degree 16 {kind} double range"):
+                brute_force_coeffs(16, scale * np.array([[1.0, 0.3], [0.2, 1.0]]))
+
+    def test_zero_matrix_keeps_exact_zero_table(self):
+        assert np.all(brute_force_coeffs(4, np.zeros((2, 2))).coeffs == 0.0)
+
 
 class TestClosedForm:
     def test_worked_coefficient_tables(self):

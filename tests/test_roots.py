@@ -223,6 +223,11 @@ class TestCanonicalRoots:
         with pytest.raises(DomainError):
             canonical_roots(2, math.pi / 4)
 
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 16, 0.3, math.pi / 6])
+    def test_report_carries_angle_and_unit_dilation(self, theta):
+        report = canonical_roots(4, theta)
+        assert (report.angle, report.dilation) == (theta, 1.0)
+
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):
             canonical_roots(0, 0.1)
@@ -278,6 +283,17 @@ class TestMatrixRoots:
         mat = canonical_matrix(math.pi / 4) @ np.diag([2.0, 1.0])
         with pytest.raises(DomainError, match="collapse"):
             matrix_roots(2, mat)
+
+    def test_report_carries_normal_form_parameters(self):
+        # The CLI classifies scaled roots through these; no second normal form.
+        rng = np.random.default_rng(91)
+        for _ in range(5):
+            m = random_generic_matrix(rng)
+            nf = normal_form(m)
+            if math.cos(2.0 * nf.angle) < 1e-9:
+                continue
+            report = matrix_roots(3, m)
+            assert (report.angle.hex(), report.dilation.hex()) == (nf.angle.hex(), nf.dilation.hex())
 
     def test_tiny_matrix_is_out_of_range_not_non_generic(self):
         # Both columns are nonzero; it used to be reported as a zero column.
