@@ -31,7 +31,7 @@ print("cosine coefficients:", np.round(poly.cos_coeffs, 12))
 
 # Roots live inside the fundamental interval [2 theta, pi - 2 theta].
 system = IntervalSystem(theta, 0, 0)
-print("fundamental interval:", system.fundamental())
+print("fundamental interval:", system.intervals()[0])
 print("roots:", trig_roots(n, theta))
 
 # Where the polynomial touches the levels +-1; the interior -1 touch is a

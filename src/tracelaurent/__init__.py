@@ -30,7 +30,6 @@ from .trig import (
     comb_height,
     comb_map,
     trig_coeffs,
-    trig_eval,
     trig_roots,
     unit_level_roots,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "normal_form",
     "trace_power_coeffs",
     "trig_coeffs",
-    "trig_eval",
     "trig_roots",
     "unit_level_roots",
     "__version__",

@@ -33,10 +33,14 @@ class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
 
 
-def check_degree(n: int):
+def _is_integer(k) -> bool:
     # Plain int first: the common case, and far cheaper than the Integral ABC check.
-    # bool is an Integral too, but True would index like a mask, not a degree.
-    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)) or n < 1:
+    # bool is an Integral too, but True would act as a mask or as 1, not as a number.
+    return type(k) is int or not isinstance(k, bool) and isinstance(k, numbers.Integral)
+
+
+def check_degree(n: int):
+    if not _is_integer(n) or n < 1:
         raise ValueError("degree n must be a positive integer")
 
 
@@ -118,20 +122,10 @@ class LaurentPoly:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
-    @classmethod
-    def from_terms(cls, n: int, terms: dict[int, complex]) -> "LaurentPoly":
-        """Build from a sparse {exponent: coefficient} mapping."""
-        coeffs = np.zeros(2 * n + 1, dtype=complex)
-        for k, value in terms.items():
-            if not -n <= k <= n:
-                raise ValueError(f"exponent {k} outside [-{n}, {n}]")
-            coeffs[k + n] = value
-        return cls(n, coeffs)
-
     def __getitem__(self, k: int) -> complex:
-        """Coefficient at signed exponent k."""
-        if not -self.n <= k <= self.n:
-            raise ValueError(f"exponent {k} outside [-{self.n}, {self.n}]")
+        """Coefficient at signed integer exponent k; any other k raises a ValueError."""
+        if not _is_integer(k) or not -self.n <= k <= self.n:
+            raise ValueError(f"exponent {k!r} is not an integer in [-{self.n}, {self.n}]")
         return complex(self.coeffs[k + self.n])
 
     def terms(self):
@@ -169,9 +163,6 @@ class LaurentPoly:
             out = pos + neg * w
         check_double_range(out, "Laurent polynomial values", n)
         return complex(out[0]) if shape == () else out.reshape(shape)
-
-    def __call__(self, z):
-        return self.eval(z)
 
 
 def laurent_close(p: LaurentPoly, q: LaurentPoly, tol: float) -> bool:

@@ -36,8 +36,7 @@ __all__ = [
     "trace_power_coeffs",
 ]
 
-_BRUTE_FORCE_CAP = 24
-_BLOCK_BITS = 16
+_BRUTE_FORCE_CAP = 16
 
 
 class DegreeCapError(RuntimeError):
@@ -82,9 +81,9 @@ def brute_force_coeffs(n: int, mat) -> LaurentPoly:
     """Oracle route: enumerate all 2^n sign sequences of projection products.
 
     A sequence e in {1, 2}^n contributes tr(P_{e_1} ... P_{e_n}) to the
-    exponent (number of P1 picks) - (number of P2 picks). Enumeration runs in
-    fixed-size index blocks with a fixed per-block summation order, and block
-    results are reduced in index order, so the output is deterministic.
+    exponent (number of P1 picks) - (number of P2 picks). One array pass
+    runs over every sequence in index order, so the output is deterministic.
+    Its cost doubles per degree, so a degree above 16 raises a DegreeCapError.
     The n=4 cross-check that exactly binomial(4, 3) sequences land on
     exponent 2 lives in the test suite. A table beyond double range, or a
     table of a nonzero matrix wholly below it, raises a DomainError naming
@@ -95,24 +94,17 @@ def brute_force_coeffs(n: int, mat) -> LaurentPoly:
         raise DegreeCapError(f"oracle degree cap: n must be <= {_BRUTE_FORCE_CAP}")
     m = as_matrix(mat)
     c1, c2 = m[:, :1], m[:, 1:]
-    total = 1 << n
-    block = min(total, 1 << _BLOCK_BITS)
-    shifts = np.arange(n)
-    plus_sums = np.zeros(n + 1, dtype=complex)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    counts = bits.sum(axis=1)
+    coeffs = np.zeros(2 * n + 1, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         stack = np.stack([c2 @ c2.conj().T, c1 @ c1.conj().T])
-        for start in range(0, total, block):
-            idx = np.arange(start, min(start + block, total), dtype=np.int64)
-            bits = (idx[:, None] >> shifts) & 1
-            chain = stack[bits[:, 0]]
-            for j in range(1, n):
-                chain = chain @ stack[bits[:, j]]
-            traces = chain[:, 0, 0] + chain[:, 1, 1]
-            counts = bits.sum(axis=1)
-            plus_sums += np.bincount(counts, weights=traces.real, minlength=n + 1)
-            plus_sums += 1j * np.bincount(counts, weights=traces.imag, minlength=n + 1)
-    coeffs = np.zeros(2 * n + 1, dtype=complex)
-    coeffs[2 * np.arange(n + 1)] = plus_sums
+        chain = stack[bits[:, 0]]
+        for j in range(1, n):
+            chain = chain @ stack[bits[:, j]]
+        traces = chain[:, 0, 0] + chain[:, 1, 1]
+        coeffs[::2] += np.bincount(counts, weights=traces.real, minlength=n + 1)
+        coeffs[::2] += 1j * np.bincount(counts, weights=traces.imag, minlength=n + 1)
     check_double_range(coeffs, "brute-force coefficients", n, nonzero=m.any())
     return LaurentPoly(n, coeffs)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import _extrema, cheb_eval, cheb_roots
+from .chebyshev import _extrema, cheb_roots
 from .core import DomainError, check_degree, check_double_range, check_finite, check_open_angle
 from .family import _canonical_coeffs
 
@@ -28,21 +28,9 @@ __all__ = [
     "comb_height",
     "comb_map",
     "trig_coeffs",
-    "trig_eval",
     "trig_roots",
     "unit_level_roots",
 ]
-
-
-def trig_eval(n: int, theta: float, t):
-    """T_n(cos t / cos 2 theta) by `cheb_eval`: scalar in, scalar out; array in, array out.
-
-    A NaN or infinite t raises a DomainError.
-    """
-    check_degree(n)
-    c = check_open_angle(theta)
-    check_finite(t, "point t")
-    return cheb_eval(n, np.cos(t) / c)
 
 
 @dataclass(frozen=True)
@@ -124,20 +112,6 @@ class IntervalSystem:
         if open:
             return lo < r < hi
         return lo <= r <= hi
-
-    def boundary_distance(self, t: float) -> float:
-        """Distance from t to the nearest interval endpoint, periodic. A NaN or infinite t raises."""
-        check_finite(t, "point t")
-        r = float(t) % math.pi
-        out = math.inf
-        for endpoint in (2.0 * self.theta, math.pi - 2.0 * self.theta):
-            d = abs(r - endpoint)
-            out = min(out, d, math.pi - d)
-        return out
-
-    def fundamental(self) -> tuple[float, float]:
-        """The period-0 interval [2 theta, pi - 2 theta]."""
-        return 2.0 * self.theta, math.pi - 2.0 * self.theta
 
 
 def trig_roots(n: int, theta: float) -> np.ndarray:

@@ -6,12 +6,20 @@ import math
 
 import numpy as np
 
-from tracelaurent import DomainError, as_matrix
+from tracelaurent import DomainError, as_matrix, cheb_eval
 
 # Angle grids used across the suite. GRID6 stresses both limits; GRID8_OPEN
 # stays strictly below pi/4 for the operations that require it.
 GRID6 = (0.0, math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4 - 1e-3, math.pi / 4)
 GRID8_OPEN = tuple(j * math.pi / 32 for j in range(8))
+
+
+def circle_restriction(n, theta, t):
+    """T_n(cos t / cos 2 theta), the canonical member on z = exp(it) over 2 c^n, by `cheb_eval`.
+
+    Scalar in, scalar out; array in, array out.
+    """
+    return cheb_eval(n, np.cos(t) / math.cos(2.0 * theta))
 
 
 def rel_close(a, b, tol):

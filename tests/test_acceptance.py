@@ -29,7 +29,6 @@ from tracelaurent import (
     laurent_close,
     normal_form,
     trace_power_coeffs,
-    trig_eval,
     trig_roots,
     unit_level_roots,
     arc_membership,
@@ -37,6 +36,7 @@ from tracelaurent import (
 from conftest import (
     GRID6,
     GRID8_OPEN,
+    circle_restriction,
     match_sets,
     psd_sqrt,
     random_generic_matrix,
@@ -222,7 +222,7 @@ def test_criterion_09_circle_restriction_and_comb():
             table = trace_power_coeffs(n, mat)
             ts = np.linspace(0.0, math.pi, 20)
             lhs = table.eval(np.exp(1j * ts)).real
-            rhs = 2.0 * c ** n * np.array([trig_eval(n, theta, float(t)) for t in ts])
+            rhs = 2.0 * c ** n * np.array([circle_restriction(n, theta, float(t)) for t in ts])
             ok = ok and bool(np.all(abs(lhs - rhs) <= 1e-10 * (1.0 + np.maximum(abs(lhs), abs(rhs)))))
     # Root systems of the restriction: simple roots inside the open bands,
     # and a 2n multiplicity budget per period on the unit levels.
@@ -232,7 +232,7 @@ def test_criterion_09_circle_restriction_and_comb():
             roots = trig_roots(n, theta)
             ok = ok and len(roots) == n and bool(np.all(np.diff(roots) > 0))
             ok = ok and all(system.contains(float(t), open=True) for t in roots)
-            ok = ok and all(abs(trig_eval(n, theta, float(t))) <= 1e-10 for t in roots)
+            ok = ok and all(abs(circle_restriction(n, theta, float(t))) <= 1e-10 for t in roots)
             hits = unit_level_roots(n, theta)
             ok = ok and sum(m for _, _, m in hits) == 2 * n
             for level in (1, -1):
@@ -249,7 +249,7 @@ def test_criterion_09_circle_restriction_and_comb():
             for _ in range(50):
                 t = complex(rng.uniform(-5, 5), rng.uniform(0, 3))
                 lhs = cmath.cos(n * comb_map(t, theta))
-                rhs = trig_eval(n, theta, t)
+                rhs = circle_restriction(n, theta, t)
                 ok = ok and abs(lhs - rhs) <= 1e-9 * (1.0 + abs(rhs))
     ok = ok and abs(comb_map(30j, 0.0) / 30j - 1.0) <= 1e-6
     for theta in (t for t in GRID8_OPEN if t > 0):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tracelaurent import DomainError, cheb_eval, cheb_preimage, cheb_roots, trig_eval
+from tracelaurent import DomainError, cheb_eval, cheb_preimage, cheb_roots
+from conftest import circle_restriction
 
 
 def _factor_pair_eval(n: int, x) -> complex:
@@ -128,13 +129,13 @@ class TestArrays:
         assert np.all(got.imag[x.imag == 0.0] == 0.0)
 
     @pytest.mark.parametrize("n", [1, 7, 64, 256])
-    def test_trig_eval_array_matches_scalar_calls(self, n):
+    def test_circle_points_array_matches_scalar_calls(self, n):
         rng = np.random.default_rng(n + 2)
         t = rng.uniform(-math.pi, math.pi, 24).reshape(4, 6)
         for points, kind in ((t, float), (t + 1j * rng.uniform(0.0, 0.5 / n, t.shape), complex)):
-            got = trig_eval(n, 0.3, points)
+            got = circle_restriction(n, 0.3, points)
             arg = np.cos(points) / math.cos(0.6)
-            assert_matches_scalar_calls(n, got, points, lambda v: trig_eval(n, 0.3, kind(v)), arg)
+            assert_matches_scalar_calls(n, got, points, lambda v: circle_restriction(n, 0.3, kind(v)), arg)
 
     def test_lists_and_zero_d_arrays(self):
         assert cheb_eval(3, [-2.0, 2.0]).tolist() == [cheb_eval(3, -2.0), cheb_eval(3, 2.0)]
@@ -144,8 +145,6 @@ class TestArrays:
     def test_any_non_finite_point_rejected(self):
         with pytest.raises(DomainError, match="must be finite"):
             cheb_eval(3, np.array([0.5, np.nan]))
-        with pytest.raises(DomainError, match="must be finite"):
-            trig_eval(3, 0.3, np.array([0.5, np.inf]))
 
 
 class TestRoots:

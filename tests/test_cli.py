@@ -130,10 +130,10 @@ class TestCoeffs:
 
     def test_brute_cap_exit_2(self, capsys):
         code, _, err = invoke(
-            capsys, "coeffs", "--n", "25", "--theta", "pi/6", "--method", "brute"
+            capsys, "coeffs", "--n", "17", "--theta", "pi/6", "--method", "brute"
         )
         assert code == 2
-        assert "24" in err
+        assert "16" in err
 
     def test_nonpositive_degree_exit_2(self, capsys):
         code, _, _ = invoke(capsys, "coeffs", "--n", "0", "--theta", "pi/6")
@@ -479,9 +479,9 @@ class TestUnderflow:
         ("1e200,3e199;2e199,1e200", "overflow"),
     ])
     def test_brute_force_table_out_of_range_exit_3(self, capsys, spec, kind):
-        # n = 16 is within the brute-force cap of 24. The tiny table, wholly
-        # subnormal (~1e-318), used to print with exit 0, and the huge one
-        # leaked numpy warnings first.
+        # n = 16 is the brute-force cap. The tiny table, wholly subnormal
+        # (~1e-318), used to print with exit 0, and the huge one leaked numpy
+        # warnings first.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = invoke(

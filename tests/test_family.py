@@ -151,7 +151,7 @@ class TestBruteForce:
 
     def test_degree_cap(self):
         with pytest.raises(DegreeCapError):
-            brute_force_coeffs(25, np.eye(2))
+            brute_force_coeffs(17, np.eye(2))
 
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):

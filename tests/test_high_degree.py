@@ -30,13 +30,12 @@ from tracelaurent import (
     matrix_roots,
     trace_power_coeffs,
     trig_coeffs,
-    trig_eval,
     trig_roots,
     unit_level_roots,
 )
 from tracelaurent.family import _family_values, _pencil_params
 from tracelaurent.normal_form import canonical_matrix, normal_form
-from conftest import GRID6
+from conftest import GRID6, circle_restriction
 
 DEGREES = (64, 256, 512)
 REF_BITS = 160
@@ -305,7 +304,7 @@ def test_value_beyond_double_range_is_named():
 
 @pytest.mark.parametrize(
     "evaluate",
-    [lambda: cheb_eval(2000, 2.0), lambda: cheb_eval(2000, 2.0 + 0.5j), lambda: trig_eval(2000, 0.3, 0.1)],
+    [lambda: cheb_eval(2000, 2.0), lambda: cheb_eval(2000, 2.0 + 0.5j), lambda: circle_restriction(2000, 0.3, 0.1)],
     ids=["real", "complex", "trig"],
 )
 def test_chebyshev_recurrence_overflow_is_named(evaluate):

@@ -6,8 +6,9 @@ block (module-level UPPER_CASE assignments), and every domain validator is a
 a small float literal or a validator defined anywhere else, on a named
 tolerance that no code reads, on an imported name that its module, test
 file or demo never reads, on a private function that the package itself
-never reads, on a Chebyshev log form outside `chebyshev`, and on a numpy
-call in the scalar hot path `trig.comb_map`.
+never reads, on a public function, class or method that neither the package
+nor a demo reads, on a Chebyshev log form outside `chebyshev`, and on a
+numpy call in the scalar hot path `trig.comb_map`.
 """
 
 import ast
@@ -22,6 +23,16 @@ SMALL = 1e-6
 
 def _modules():
     return sorted(PACKAGE.glob("*.py"))
+
+
+def _reads(trees):
+    """Every name loaded in the trees, as a bare name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def _tolerance_assignments(tree):
@@ -132,14 +143,40 @@ def test_every_private_function_is_used_in_the_package():
         and node.name.startswith("_")
         and not node.name.endswith("__")
     }
-    read = {
-        node.id if isinstance(node, ast.Name) else node.attr
+    assert defined, "no private functions found"
+    unused = defined - _reads(trees)
+    assert not unused, "private functions the package never uses: " + ", ".join(sorted(unused))
+
+
+# Public members that no package module or demo reads, kept on purpose.
+UNREAD_PUBLIC = {
+    # The benchmark's tracer test reads family.cheb_eval; it goes with that test.
+    "cheb_eval",
+    # Shipped guarantees of the acceptance suite (criteria 10 and 9): the level
+    # preimage of T_n, and membership in the interval system.
+    "cheb_preimage",
+    "contains",
+}
+
+
+def test_every_public_member_is_used_in_the_package():
+    # A public function, class or method that only tests reach is a test
+    # helper in the public API. Re-exports in `__init__` and `__all__` do not
+    # count as reads; a call or another read in the package or a demo does.
+    trees = [ast.parse(path.read_text()) for path in _modules()]
+    demos = [ast.parse(path.read_text()) for path in sorted((REPO / "demos").glob("*.py"))]
+    assert demos, "demos not found"
+    defined = {
+        node.name
         for tree in trees
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
     }
-    assert defined, "no private functions found"
-    assert not defined - read, "private functions the package never uses: " + ", ".join(sorted(defined - read))
+    unread = defined - _reads(trees + demos)
+    extra, stale = unread - UNREAD_PUBLIC, UNREAD_PUBLIC - unread
+    assert not extra, "public members nothing in the package reads: " + ", ".join(sorted(extra))
+    assert not stale, "allowlisted members now read or gone: " + ", ".join(sorted(stale))
 
 
 def test_chebyshev_kernel_only_in_chebyshev():

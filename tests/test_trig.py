@@ -19,11 +19,10 @@ from tracelaurent import (
     comb_height,
     comb_map,
     trig_coeffs,
-    trig_eval,
     trig_roots,
     unit_level_roots,
 )
-from conftest import GRID8_OPEN
+from conftest import GRID8_OPEN, circle_restriction
 
 # Angles of the comb checks: near both ends of (0, pi/4) and three between.
 COMB_ANGLES = (0.005, 0.3, math.pi / 6, 0.6, math.pi / 4 - 1e-3, math.pi / 4 - 1e-5)
@@ -40,7 +39,7 @@ def strip_grid(count, seed=41):
 class TestEval:
     def test_midpoint_value(self):
         # cos(pi/2) = 0, T_2(0) = -1.
-        assert trig_eval(2, math.pi / 6, math.pi / 2) == pytest.approx(-1.0)
+        assert circle_restriction(2, math.pi / 6, math.pi / 2) == pytest.approx(-1.0)
 
     def test_matches_circle_restriction(self):
         for theta in (0.1, math.pi / 8, math.pi / 6):
@@ -48,13 +47,13 @@ class TestEval:
             for n in (1, 3, 6, 10):
                 ts = np.linspace(0.0, math.pi, 9)
                 want = closed_form_eval(n, theta, np.exp(1j * ts)).real / (2.0 * c ** n)
-                got = np.array([trig_eval(n, theta, float(t)) for t in ts])
+                got = np.array([circle_restriction(n, theta, float(t)) for t in ts])
                 assert np.all(abs(got - want) <= 1e-10 * (1.0 + abs(want)))
 
     def test_complex_argument(self):
         t = 0.5 + 0.25j
         c = math.cos(math.pi / 4)
-        got = trig_eval(2, math.pi / 8, t)
+        got = circle_restriction(2, math.pi / 8, t)
         x = cmath.cos(t) / c
         assert got == pytest.approx(2 * x * x - 1)
 
@@ -74,11 +73,11 @@ class TestTrigPoly:
                 1.0 / math.cos(2 * theta) ** n, rel=1e-15
             )
 
-    def test_eval_agrees_with_trig_eval(self):
+    def test_eval_agrees_with_cheb_eval(self):
         for theta in (0.05, math.pi / 8, math.pi / 6):
             poly = trig_coeffs(4, theta)
             for t in np.linspace(-1.0, 4.0, 11):
-                a, b = poly.eval(float(t)), trig_eval(4, theta, float(t))
+                a, b = poly.eval(float(t)), circle_restriction(4, theta, float(t))
                 assert abs(a - b) <= 1e-10 * (1.0 + abs(b))
 
     def test_array_matches_scalar_calls(self):
@@ -147,7 +146,7 @@ class TestTrigPoly:
 class TestIntervals:
     def test_fundamental(self):
         system = IntervalSystem(math.pi / 6, 0, 0)
-        lo, hi = system.fundamental()
+        lo, hi = system.intervals()[0]
         assert (lo, hi) == pytest.approx((math.pi / 3, 2 * math.pi / 3))
 
     def test_window_listing(self):
@@ -166,17 +165,9 @@ class TestIntervals:
 
     def test_open_versus_closed_at_endpoints(self):
         system = IntervalSystem(math.pi / 6, 0, 0)
-        lo, _ = system.fundamental()
+        lo, _ = system.intervals()[0]
         assert system.contains(lo)
         assert not system.contains(lo, open=True)
-
-    def test_boundary_distance(self):
-        system = IntervalSystem(math.pi / 6, 0, 0)
-        assert system.boundary_distance(math.pi / 3) == pytest.approx(0.0)
-        assert system.boundary_distance(math.pi / 2) == pytest.approx(math.pi / 6)
-        # Periodic wrap: just below zero sits near the pi - 2 theta endpoint
-        # of the previous period.
-        assert system.boundary_distance(2 * math.pi / 3 - math.pi) == pytest.approx(0.0)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
@@ -198,7 +189,7 @@ class TestRoots:
             assert np.all(np.diff(roots) > 0)
             for t in roots:
                 assert system.contains(t, open=True)
-                assert abs(trig_eval(n, theta, float(t))) <= 1e-12
+                assert abs(circle_restriction(n, theta, float(t))) <= 1e-12
 
     @pytest.mark.parametrize("theta", [1e-3, 0.3, math.pi / 4 - 1e-3])
     @pytest.mark.parametrize("n", [1, 7, 1024])
@@ -234,10 +225,10 @@ class TestUnitLevels:
         for level in (1, -1):
             assert sum(m for _, lv, m in hits if lv == level) == n
         system = IntervalSystem(theta, 0, 0)
-        lo, hi = system.fundamental()
+        lo, hi = system.intervals()[0]
         for t, level, mult in hits:
             assert lo - 1e-12 <= t <= hi + 1e-12
-            assert abs(trig_eval(n, theta, float(t)) - level) <= 1e-9
+            assert abs(circle_restriction(n, theta, float(t)) - level) <= 1e-9
             if mult == 2:
                 # Double points only strictly inside the band.
                 assert min(t - lo, hi - t) > 1e-9
@@ -277,14 +268,15 @@ class TestComb:
                 for _ in range(10):
                     t = complex(rng.uniform(-4, 4), rng.uniform(0, 2))
                     got = cmath.cos(n * comb_map(t, theta))
-                    want = trig_eval(n, theta, t)
+                    want = circle_restriction(n, theta, t)
                     assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
     def test_real_values_exactly_on_interval_system(self):
         theta = math.pi / 8
         system = IntervalSystem(theta, -2, 2)
+        ends = system.intervals()[0]
         for t in np.linspace(-6.0, 6.0, 241):
-            if system.boundary_distance(float(t)) < 1e-9:
+            if min(abs(math.remainder(t - e, math.pi)) for e in ends) < 1e-9:
                 continue
             u = comb_map(float(t), theta)
             assert (u.imag == 0.0) == system.contains(float(t))
