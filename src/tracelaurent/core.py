@@ -65,7 +65,7 @@ def check_open_angle(theta: float) -> float:
 
 
 def check_unit_phase(phase: complex):
-    if abs(abs(phase) - 1.0) > UNIT_PHASE_TOL:
+    if not abs(abs(phase) - 1.0) <= UNIT_PHASE_TOL:
         raise ValueError("phase must have unit magnitude")
 
 

@@ -26,7 +26,7 @@ from .chebyshev import _scaled_cheb
 from .chebyshev import cheb_eval  # noqa: F401
 from .core import QUARTER_TURN_EPS
 from .core import DomainError, LaurentPoly, as_matrix, check_angle, check_degree, check_double_range, check_finite
-from .normal_form import normal_form
+from .normal_form import _columns, normal_form
 
 __all__ = [
     "DegreeCapError",
@@ -43,14 +43,6 @@ class DegreeCapError(RuntimeError):
     """Brute-force enumeration requested beyond the supported degree."""
 
 
-def _pencil_params(m: np.ndarray):
-    # a = |c1|^2, b = |c2|^2 and c = |det M| of a matrix from as_matrix: det S = c^2,
-    # L_n = 2 c^n T_n((a z + b/z) / 2c). Squares beyond double range come out inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b = np.sum(np.abs(m) ** 2, axis=0)
-        return a, b, abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
 def trace_power_coeffs(n: int, mat) -> LaurentPoly:
     """Coefficients of tr(S(z)^n) by the Cayley-Hamilton recurrence.
 
@@ -62,8 +54,9 @@ def trace_power_coeffs(n: int, mat) -> LaurentPoly:
     """
     check_degree(n)
     m = as_matrix(mat)
-    a, b, c = _pencil_params(m)
+    a, b, c, e1, e2 = _columns(m)
     with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c = np.ldexp([a, b, c], [2 * e1, 2 * e2, e1 + e2])
         d = c ** 2
         prev, cur = np.zeros((2, 2 * n + 1))
         prev[n] = 2.0

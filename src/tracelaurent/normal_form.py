@@ -31,14 +31,18 @@ __all__ = [
 ]
 
 
-def _norms(m: np.ndarray) -> np.ndarray:
-    # Each column is divided by the power of two 2^e just above its largest |entry|
-    # before squaring, so no square under- or overflows. The rescale is exact: norms
-    # that the plain sum of squares gets right come out bit for bit the same.
-    mag = np.abs(m)
-    e = np.frexp(mag.max(axis=0))[1]
-    with np.errstate(over="ignore"):
-        return np.ldexp(np.sqrt(np.sum(np.ldexp(mag, -e) ** 2, axis=0)), e)
+def _columns(m: np.ndarray):
+    # The one read of a matrix from as_matrix: each column is divided, exactly, by the power
+    # of two 2^e just above its largest |entry| (numpy's array abs) before any square or
+    # product. Returns a' = |c1'|^2, b' = |c2'|^2, c' = |det M'|, e1 and e2; bit for bit,
+    # |c1|^2 = a' 4^e1, |c2|^2 = b' 4^e2 and |det M| = c' 2^(e1 + e2) wherever they fit.
+    (p, q), (r, s) = m.tolist()
+    (mp, mq), (mr, ms) = np.abs(m).tolist()
+    e1, e2 = math.frexp(max(mp, mr))[1], math.frexp(max(mq, ms))[1]
+    mp, mr, mq, ms = math.ldexp(mp, -e1), math.ldexp(mr, -e1), math.ldexp(mq, -e2), math.ldexp(ms, -e2)
+    p, r = (complex(math.ldexp(v.real, -e1), math.ldexp(v.imag, -e1)) for v in (p, r))
+    q, s = (complex(math.ldexp(v.real, -e2), math.ldexp(v.imag, -e2)) for v in (q, s))
+    return mp * mp + mr * mr, mq * mq + ms * ms, abs(p * s - q * r), e1, e2
 
 
 @dataclass(frozen=True)
@@ -57,10 +61,9 @@ class NormalForm:
     phase: complex
 
     def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
-        if not self.dilation > 0.0:
-            raise ValueError("dilation must be positive")
+        for name, value in (("scale", self.scale), ("dilation", self.dilation)):
+            if not sys.float_info.min <= value <= sys.float_info.max:
+                raise DomainError(f"normal-form {name} {value:.3g} leaves the normal double range")
         check_angle(self.angle)
         check_unit_phase(self.phase)
 
@@ -77,21 +80,24 @@ def normal_form(mat) -> NormalForm:
     construction, even where rounding lifts the overlap above 1. A zero
     overlap carries the conventional phase 1.
     """
+    return _reduce(mat)[0]
+
+
+def _reduce(mat):
+    # normal_form's one pass, and the column read that matrix_roots' residuals share.
     m = as_matrix(mat)
-    norms = _norms(m)
-    if not (norms[0] > 0.0 and norms[1] > 0.0):
+    a, b, _, e1, e2 = columns = _columns(m)
+    if not (a > 0.0 and b > 0.0):
         raise DomainError("non-generic matrix: a column is zero")
+    with np.errstate(over="ignore", invalid="ignore"):  # NormalForm names a norm out of range
+        norms = np.ldexp(np.sqrt([a, b]), [e1, e2])
+        unit = m / norms
+        overlap = complex(np.vdot(unit[:, 0], unit[:, 1]))
+        det = abs(complex(unit[0, 0] * unit[1, 1] - unit[0, 1] * unit[1, 0]))
     r1, r2 = norms.tolist()
-    scale, dilation = r1 * r2, r1 / r2
-    for name, value in (("scale", scale), ("dilation", dilation)):
-        if not sys.float_info.min <= value <= sys.float_info.max:
-            raise DomainError(f"normal-form {name} {value:.3g} leaves the normal double range")
-    unit = m / norms
-    overlap = complex(np.vdot(unit[:, 0], unit[:, 1]))
     mag = abs(overlap)
-    det = abs(complex(unit[0, 0] * unit[1, 1] - unit[0, 1] * unit[1, 0]))
     phase = overlap / mag if mag > 0.0 else 1.0 + 0j
-    return NormalForm(scale, dilation, 0.5 * math.atan2(mag, det), phase)
+    return NormalForm(r1 * r2, r1 / r2, 0.5 * math.atan2(mag, det), phase), columns
 
 
 def canonical_matrix(theta: float, phase=None) -> np.ndarray:

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QUARTER_TURN_EPS
-from .core import BOUNDARY_TOL, DomainError, as_matrix, check_degree, check_finite, check_open_angle
+from .core import BOUNDARY_TOL, QUARTER_TURN_EPS, DomainError, check_degree, check_finite, check_open_angle
 from .chebyshev import cheb_roots
-from .family import _family_values, _pencil_params
+from .family import _family_values
 # closed_form_eval is not called here; the name stays bound because the
 # benchmark's tracer test (perfbench/tests/test_bench_tracer.py) reads it.
 from .family import closed_form_eval  # noqa: F401
-from .normal_form import normal_form
+from .normal_form import _reduce
 
 __all__ = [
     "RootReport",
@@ -88,14 +87,12 @@ class RootReport:
     dilation: float
 
     def __post_init__(self):
-        roots = np.array(self.roots, dtype=complex)
-        residuals = np.array(self.residuals, dtype=float)
-        if roots.shape != residuals.shape:
+        for name, dtype in (("roots", complex), ("residuals", float)):
+            values = np.array(getattr(self, name), dtype=dtype)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if self.roots.shape != self.residuals.shape:
             raise ValueError("roots and residuals must align")
-        roots.flags.writeable = False
-        residuals.flags.writeable = False
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "residuals", residuals)
 
 
 def _pullback(n: int, c: float) -> np.ndarray:
@@ -131,13 +128,14 @@ def matrix_roots(n: int, mat) -> RootReport:
     dilation. An angle at pi/4 (by the same edge as `canonical_roots`) is
     rejected: there the polynomial degenerates to (z + 1/z)^n scaled, whose
     roots collapse onto +-i with multiplicity n, outside this module's
-    simple-root contract. Residuals are
-    |2 c^n T_n((a z + b/z) / 2c)| with a, b, c = |det M| of the input matrix, not
-    its normal form, in one O(1)-per-root pass over the n upper roots while
-    c^n fits in double range; each conjugate root shares its partner's value.
+    simple-root contract. Residuals are |L_n(z)| = |2 c^n T_n((a z + b/z) / 2c)|
+    of the input matrix's a = |c1|^2, b = |c2|^2 and c = |det M|, not of its
+    normal form, in one O(1)-per-root pass over the n upper roots while c^n fits
+    in double range, on the balanced pencil L_n(2^t z; a / 2^t, 2^t b, c), 2^t <=
+    dilation < 2^(t+1); each conjugate root shares its partner's value.
     """
     check_degree(n)
-    nf = normal_form(mat)
+    nf, (a, b, det, e1, e2) = _reduce(mat)
     c = math.cos(2.0 * nf.angle)
     if c < QUARTER_TURN_EPS:
         raise DomainError(
@@ -145,5 +143,8 @@ def matrix_roots(n: int, mat) -> RootReport:
             "localization requires an angle strictly below pi/4"
         )
     roots = _pullback(n, c) / nf.dilation
-    residuals = np.repeat(np.abs(_family_values(n, *_pencil_params(as_matrix(mat)), roots[0::2])), 2)
+    t = math.frexp(nf.dilation)[1] - 1
+    with np.errstate(over="ignore"):
+        pencil = np.ldexp([a, b, det], [2 * e1 - t, 2 * e2 + t, e1 + e2])
+    residuals = np.repeat(np.abs(_family_values(n, *pencil, roots[0::2] * 2.0 ** t)), 2)
     return RootReport(roots, residuals, _min_gap(roots), nf.angle, nf.dilation)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import _extrema, cheb_roots
-from .core import DomainError, check_degree, check_double_range, check_finite, check_open_angle
+from .core import DomainError, _is_integer, check_degree, check_double_range, check_finite, check_open_angle
 from .family import _canonical_coeffs
 
 __all__ = [
@@ -93,8 +93,8 @@ class IntervalSystem:
 
     def __post_init__(self):
         check_open_angle(self.theta)
-        if self.p_min > self.p_max:
-            raise ValueError("p_min must not exceed p_max")
+        if not (_is_integer(self.p_min) and _is_integer(self.p_max) and self.p_min <= self.p_max):
+            raise ValueError("p_min and p_max must be integers, p_min not exceeding p_max")
 
     def intervals(self) -> list[tuple[float, float]]:
         """Closed intervals [p pi + 2 theta, (p+1) pi - 2 theta] in the window."""

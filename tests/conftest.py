@@ -5,6 +5,7 @@ import cmath
 import math
 
 import numpy as np
+from hypothesis import settings, strategies as st
 
 from tracelaurent import DomainError, as_matrix, cheb_eval
 
@@ -12,6 +13,20 @@ from tracelaurent import DomainError, as_matrix, cheb_eval
 # stays strictly below pi/4 for the operations that require it.
 GRID6 = (0.0, math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4 - 1e-3, math.pi / 4)
 GRID8_OPEN = tuple(j * math.pi / 32 for j in range(8))
+
+# Property tests draw from a fixed sequence of examples, so the suite stays deterministic.
+DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+def column_scale_exponents(bound=1000):
+    """Strategy of exponent pairs (p, q), |p|, |q| <= bound, for column scales 2^p and 2^q.
+
+    Multiplying a matrix's columns by independent powers of two is exact, so
+    every normal-form and pencil quantity of the scaled matrix is the unscaled
+    one shifted by a known power of two, wherever both fit in double range.
+    """
+    exponents = st.integers(-bound, bound)
+    return st.tuples(exponents, exponents)
 
 
 def circle_restriction(n, theta, t):
@@ -51,6 +66,18 @@ def unit_overlap(mat) -> complex:
     m = as_matrix(mat)
     unit = m / np.sqrt(np.sum(np.abs(m) ** 2, axis=0))
     return complex(np.vdot(unit[:, 0], unit[:, 1]))
+
+
+def plain_pencil(mat):
+    """(a, b, c) = (|c1|^2, |c2|^2, |det M|) by the plain squares and products.
+
+    L_n(z) = 2 c^n T_n((a z + b/z) / 2c). The reference for the package's
+    power-of-two-rescaled read; squares beyond double range come out inf.
+    """
+    m = as_matrix(mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = np.sum(np.abs(m) ** 2, axis=0)
+        return a, b, abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
 def match_sets(left, right, tol):

@@ -193,6 +193,13 @@ class TestRootsCommand:
         assert got[0] == (pytest.approx(0.0, abs=1e-15), pytest.approx(-0.5), "open_minus")
         assert got[1] == (pytest.approx(0.0, abs=1e-15), pytest.approx(0.5), "open_plus")
 
+    def test_matrix_columns_beyond_squaring_range_exit_0(self, capsys):
+        # |c1|^2 ~ 1e310 squared from the plain entries overflowed, and roots exited 3
+        # with "family values of degree 4 overflow"; the values near 1e20 fit.
+        doc = invoke_json(capsys, "roots", "--n", "4", "--matrix", "1e155,3e-151;2e154,1e-150")
+        assert len(doc["data"]["roots"]) == 8
+        assert all(math.isfinite(entry["residual"]) for entry in doc["data"]["roots"])
+
     def test_quarter_angle_exit_3(self, capsys):
         code, _, err = invoke(capsys, "roots", "--n", "2", "--theta", "pi/4")
         assert code == 3

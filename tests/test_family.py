@@ -10,7 +10,6 @@ import pytest
 from tracelaurent import (
     DegreeCapError,
     DomainError,
-    as_matrix,
     brute_force_coeffs,
     canonical_matrix,
     closed_form_coeffs,
@@ -19,8 +18,8 @@ from tracelaurent import (
     normal_form,
     trace_power_coeffs,
 )
-from tracelaurent.family import _closed_form_matrix_coeffs, _family_values, _pencil_params
-from conftest import GRID6, eigen_split, random_generic_matrix, transfer_matrix
+from tracelaurent.family import _closed_form_matrix_coeffs, _family_values
+from conftest import GRID6, eigen_split, plain_pencil, random_generic_matrix, transfer_matrix
 
 F6 = canonical_matrix(math.pi / 6)
 
@@ -226,7 +225,7 @@ class TestClosedForm:
         # small generic matrix stays on the Chebyshev branch; comparing c alone
         # with the edge would send it down (a z + b/z)^n.
         n, z = 5, np.array([1.3 + 0.4j, -0.7 + 0.9j, 0.5])
-        a, b, c = _pencil_params(as_matrix(canonical_matrix(0.3) @ np.diag([1.2, 0.8])))
+        a, b, c = plain_pencil(canonical_matrix(0.3) @ np.diag([1.2, 0.8]))
         want = _family_values(n, a, b, c, z)
         got = _family_values(n, s * s * a, s * s * b, s * s * c, z)
         want = s ** (2 * n) * want

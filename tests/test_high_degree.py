@@ -21,7 +21,6 @@ import pytest
 
 from tracelaurent import (
     DomainError,
-    as_matrix,
     canonical_roots,
     cheb_eval,
     cheb_preimage,
@@ -33,9 +32,9 @@ from tracelaurent import (
     trig_roots,
     unit_level_roots,
 )
-from tracelaurent.family import _family_values, _pencil_params
+from tracelaurent.family import _family_values
 from tracelaurent.normal_form import canonical_matrix, normal_form
-from conftest import GRID6, circle_restriction
+from conftest import GRID6, circle_restriction, plain_pencil
 
 DEGREES = (64, 256, 512)
 REF_BITS = 160
@@ -248,12 +247,40 @@ def off_root_points(rng, n, radius, size):
 def test_matrix_values_against_reference(n, index):
     m = unit_scale_matrices()[index]
     z = off_root_points(np.random.default_rng(n + index), n, 1.0 / normal_form(m).dilation, 30)
-    got = _family_values(n, *_pencil_params(as_matrix(m)), z)
+    got = _family_values(n, *plain_pencil(m), z)
     params = pencil_params(m)
     with mpmath.workdps(VALUE_DPS):
         for point, value in zip(z, got):
             ref = family_value(params, n, mpmath.mpc(complex(point)))
             assert float(abs(mpmath.mpc(complex(value)) - ref) / abs(ref)) <= VALUE_REL_TOL
+
+
+# Column scales of [[1, 0.3], [0.2, 1]] at which squaring the plain entries leaves double
+# range, while the normal form and the values at the roots fit. At the first,
+# a = |c1|^2 = 1.04e-320 was subnormal and the residuals erred by 1.2e-5 of L(|z|);
+# at the second, a = inf raised an overflow DomainError for values near 1e20.
+EXTREME_COLUMN_SCALES = ((1e-160, 1e140), (1e155, 1e-150), (1e154, 1e-154))
+EXTREME_RESIDUAL_TOL = 1e-13
+
+
+@pytest.mark.parametrize("scales", EXTREME_COLUMN_SCALES)
+@pytest.mark.parametrize("n", (4, 16))
+def test_matrix_root_residuals_at_extreme_column_scales(n, scales):
+    m = np.array([[1.0, 0.3], [0.2, 1.0]]) * scales
+    report = matrix_roots(n, m)
+    with mpmath.workdps(VALUE_DPS):
+        params = pencil_params(m)
+    berr = root_backward_errors(params, n, report.roots, report.residuals)
+    assert berr[:, 0].max() <= ROOT_BERR_TOL
+    assert berr[:, 1].max() <= EXTREME_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("scales", [(1e150, 1e150), (1e300, 1e-5)])
+@pytest.mark.parametrize("n", (4, 16))
+def test_matrix_roots_beyond_double_range_still_raise(n, scales):
+    # Here the values themselves, near scale^n, leave double range.
+    with pytest.raises(DomainError, match=f"family values of degree {n} overflow double range"):
+        matrix_roots(n, np.array([[1.0, 0.3], [0.2, 1.0]]) * scales)
 
 
 @pytest.mark.parametrize("index", range(4))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tracelaurent import DomainError, NormalForm, canonical_matrix, normal_form
+from tracelaurent import DomainError, NormalForm, canonical_matrix, matrix_roots, normal_form
 from conftest import psd_sqrt, random_generic_matrix, random_unit_column_matrix, unit_overlap
 
 
@@ -70,10 +70,11 @@ class TestColumns:
 
 
 class TestOnePass:
-    def test_input_coerced_once_and_normed_once(self, monkeypatch):
-        # normal_form reads its input once: one as_matrix copy and one pass of
-        # the scale-robust norms, whatever the matrix.
-        calls = {"as_matrix": 0, "_norms": 0}
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # Every read goes through normal_form's module: one as_matrix copy and one
+        # pass of the scale-robust column read per call, whatever the matrix.
+        calls = {"as_matrix": 0, "_columns": 0}
 
         def counted(name):
             fn = getattr(NF_MODULE, name)
@@ -85,11 +86,23 @@ class TestOnePass:
 
         for name in calls:
             monkeypatch.setattr(NF_MODULE, name, counted(name))
+        return calls
+
+    def test_input_coerced_once_and_normed_once(self, calls):
         rng = np.random.default_rng(3)
         mats = [random_generic_matrix(rng), 1e-150 * BASE, 1e150 * BASE, [[3.0, 5.0], [4.0, 12.0]]]
         for count, mat in enumerate(mats, start=1):
             normal_form(mat)
-            assert calls == {"as_matrix": count, "_norms": count}
+            assert calls == {"as_matrix": count, "_columns": count}
+
+    def test_matrix_roots_reads_its_matrix_once(self, calls):
+        # The normal form and the residuals' pencil come from the same read; a
+        # second as_matrix or column pass, as in the plain-squares pencil, fails here.
+        rng = np.random.default_rng(3)
+        mats = [random_generic_matrix(rng), BASE * [1e-160, 1e140], BASE * [1e155, 1e-150], [[3.0, 5.0], [4.0, 12.0]]]
+        for count, mat in enumerate(mats, start=1):
+            matrix_roots(4, mat)
+            assert calls == {"as_matrix": count, "_columns": count}
 
 
 class TestPsdSqrt:
@@ -221,6 +234,13 @@ class TestAngle:
             NormalForm(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             NormalForm(1.0, 1.0, 0.1, 2.0j)
+        # A NaN phase, and a scale outside the normal range, used to construct.
+        with pytest.raises(ValueError, match="phase must have unit magnitude"):
+            NormalForm(1.0, 1.0, 0.3, math.nan)
+        with pytest.raises(DomainError, match="normal-form scale inf leaves the normal double range"):
+            NormalForm(math.inf, 1.0, 0.3, 1.0)
+        with pytest.raises(DomainError, match="normal-form scale 1e-320 leaves the normal double range"):
+            NormalForm(1e-320, 1.0, 0.3, 1.0)
 
 
 class TestNormalForm:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import tracelaurent.family
 import tracelaurent.roots
@@ -12,7 +13,6 @@ from tracelaurent import (
     DomainError,
     LaurentPoly,
     arc_membership,
-    as_matrix,
     canonical_matrix,
     canonical_roots,
     cheb_roots,
@@ -23,9 +23,17 @@ from tracelaurent import (
     trace_power_coeffs,
     trig_roots,
 )
-from tracelaurent.family import _family_values, _pencil_params
+from tracelaurent.family import _family_values
 from tracelaurent.roots import _min_gap
-from conftest import GRID8_OPEN, match_sets, random_generic_matrix, scaled_joukowski_preimage
+from conftest import (
+    DERANDOMIZED,
+    GRID8_OPEN,
+    column_scale_exponents,
+    match_sets,
+    plain_pencil,
+    random_generic_matrix,
+    scaled_joukowski_preimage,
+)
 
 
 def scaled_joukowski(z, theta):
@@ -301,6 +309,41 @@ class TestMatrixRoots:
             matrix_roots(16, 1e-170 * np.array([[1.0, 0.3], [0.2, 1.0]]))
 
 
+# Unit-scale matrices whose columns the property below scales by powers of two.
+SCALED_BASES = (np.array([[1.0, 0.3], [0.2, 1.0]]), random_generic_matrix(np.random.default_rng(97)))
+
+
+@DERANDOMIZED
+@given(column_scale_exponents(), st.sampled_from((4, 16)), st.sampled_from(range(len(SCALED_BASES))))
+def test_matrix_roots_under_power_of_two_column_scales(exponents, n, index):
+    # Scaling the columns by 2^p and 2^q is exact: the roots scale by 2^(q - p) and
+    # L_n by 2^((p + q) n). Wherever the normal form and L(|z|) fit with a margin,
+    # the roots must agree with the unscaled matrix's, and so must the residuals on
+    # the backward-error scale L(|z|). Squaring the plain entries put the pencil out
+    # of range long before the values: an overflow DomainError, or residuals off by
+    # up to half of L(|z|).
+    p, q = exponents
+    base = SCALED_BASES[index]
+    want, nf = matrix_roots(n, base), normal_form(base)
+    unit = _family_values(n, *plain_pencil(base), np.abs(want.roots[:1])).real[0]
+    log_scale = math.log2(nf.scale) + p + q
+    log_dilation = math.log2(nf.dilation) + p - q
+    log_unit = math.log2(unit) + n * (p + q)
+    fits = -1000 < log_scale < 1000 and -1020 < log_dilation < 1020 and -1000 < log_unit < 1000
+    try:
+        got = matrix_roots(n, base * [2.0 ** p, 2.0 ** q])
+    except DomainError:
+        assert not fits, (p, q)
+        return
+    assert got.angle == want.angle
+    assert got.dilation == math.ldexp(want.dilation, p - q)
+    roots = np.ldexp(got.roots.real, p - q) + 1j * np.ldexp(got.roots.imag, p - q)
+    assert np.abs(roots - want.roots).max() <= 1e-15 * abs(want.roots[0])
+    if fits:
+        residuals = np.ldexp(got.residuals, -(p + q) * n)
+        assert np.abs(residuals - want.residuals).max() <= 1e-13 * unit
+
+
 class TestConjugateResiduals:
     """A conjugate pair shares one residual, evaluated once at the upper root;
     the copy must equal a full evaluation at all 2n roots bit for bit."""
@@ -323,7 +366,7 @@ class TestConjugateResiduals:
             report = matrix_roots(n, mat)
             residuals = report.residuals
             assert residuals[0::2].tobytes() == residuals[1::2].tobytes()
-            values = _family_values(n, *_pencil_params(as_matrix(mat)), report.roots)
+            values = _family_values(n, *plain_pencil(mat), report.roots)
             assert residuals.tobytes() == np.abs(values).tobytes()
 
 

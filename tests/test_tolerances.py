@@ -7,8 +7,9 @@ a small float literal or a validator defined anywhere else, on a named
 tolerance that no code reads, on an imported name that its module, test
 file or demo never reads, on a private function that the package itself
 never reads, on a public function, class or method that neither the package
-nor a demo reads, on a Chebyshev log form outside `chebyshev`, and on a
-numpy call in the scalar hot path `trig.comb_map`.
+nor a demo reads, on a Chebyshev log form outside `chebyshev`, on a matrix
+determinant outside `normal_form`, and on a numpy call in the scalar hot path
+`trig.comb_map`.
 """
 
 import ast
@@ -190,6 +191,49 @@ def test_chebyshev_kernel_only_in_chebyshev():
         if isinstance(node, ast.Attribute) and node.attr == "arccosh"
     ]
     assert not offenders, "use chebyshev._scaled_cheb: " + ", ".join(offenders)
+
+
+def _column_products(tree, exempt=()):
+    """Determinants of a matrix formed in the tree: a difference of two products, as in
+    m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], or linalg.det; and products of a column with
+    a conjugate, such as the projection c @ c.conj().T. Functions named in `exempt` are
+    skipped."""
+    skipped = {
+        node
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in exempt
+        for node in ast.walk(fn)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if node in skipped:
+            continue
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "det"
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            hit = all(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult) for side in (node.left, node.right))
+        else:
+            hit = isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) and "conj" in _reads([node.right])
+        if hit:
+            found.append(node)
+    return found
+
+
+def test_matrix_determinant_only_in_normal_form():
+    # A matrix's columns are read in one place, normal_form._columns, which the normal
+    # form, the trace route and matrix_roots' residuals share; a determinant formed
+    # anywhere else is a second reader of the same pencil. brute_force_coeffs forms its
+    # own projection products: it is the oracle.
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in _modules()
+        if path.name != "normal_form.py"
+        for node in _column_products(ast.parse(path.read_text()), exempt={"brute_force_coeffs"})
+    ]
+    assert not offenders, "read the columns through normal_form._columns: " + ", ".join(offenders)
+    assert _column_products(ast.parse((PACKAGE / "normal_form.py").read_text())), "the guard sees no determinant"
+    family = ast.parse((PACKAGE / "family.py").read_text())
+    assert _column_products(family), "the guard sees no projection product in the oracle"
 
 
 def test_comb_map_stays_off_numpy():

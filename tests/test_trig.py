@@ -170,8 +170,11 @@ class TestIntervals:
         assert not system.contains(lo, open=True)
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            IntervalSystem(math.pi / 6, 2, 1)
+        # A float bound used to fail only in intervals(), with a bare TypeError,
+        # and True was taken as 1.
+        for p_min, p_max in ((2, 1), (0.5, 2), (True, 2), (0, 2.0)):
+            with pytest.raises(ValueError, match="p_min and p_max must be integers"):
+                IntervalSystem(math.pi / 6, p_min, p_max)
 
 
 class TestRoots:
