@@ -1,9 +1,10 @@
 """Chebyshev polynomials of the first kind: values, roots, and preimages.
 
-T_n(cos a) = cos(n a) and T_n(cosh a) = cosh(n a). Every T_n value in the
-package comes from one O(1)-per-point array kernel for 2 c^n T_n(x), the form
+T_n(cos a) = cos(n a) and T_n(cosh a) = cosh(n a). Every array of T_n values
+in the package comes from one O(1)-per-point kernel for 2 c^n T_n(x), the form
 the family takes; it, the roots and the preimages serve the closed forms and
-root pullbacks of the other modules.
+root pullbacks of the other modules. Only `cheb_eval` at one real point of
+[-1, 1] takes libm's cos(n acos x) instead, the more accurate of the two there.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ def cheb_eval(n: int, x):
     """Value of T_n at real or complex points, O(1) per point.
 
     A scalar gives a scalar (a float for real input, a complex for complex),
-    an array an ndarray of its shape. A real scalar on [-1, 1] takes
-    cos(n arccos x) directly; every other point takes half the kernel
-    2 c^n T_n(x) at c = 1. A NaN or infinite x raises a DomainError, and so
-    does a value beyond double range, with a message naming the degree.
+    an array an ndarray of its shape. A real scalar on [-1, 1] takes libm's
+    cos(n acos x), which errs less there than the kernel's numpy arccos; every
+    other point takes half the kernel 2 c^n T_n(x) at c = 1. A NaN or infinite
+    x raises a DomainError, and so does a value beyond double range, with a
+    message naming the degree.
     """
     check_degree(n)
     if isinstance(x, (int, float)) and -1.0 <= x <= 1.0:

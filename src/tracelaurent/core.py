@@ -2,9 +2,10 @@
 
 Holds 2x2 complex matrices, dense Laurent coefficient vectors, the one
 validator per input domain (degree, closed angle, open angle, unit phase,
-finite values) and every numerical tolerance of the package. The angle
-validators return the cos(2 theta) they compute. The validators and
-tolerances stay out of `__all__`; the other modules import them by name.
+finite values, evaluation points), the one read-only-array constructor and
+every numerical tolerance of the package. The angle validators return the
+cos(2 theta) they compute. These stay out of `__all__`; the other modules
+import them by name.
 """
 
 from __future__ import annotations
@@ -84,18 +85,36 @@ def check_double_range(values, what: str, n: int, nonzero: bool = False):
         raise DomainError(f"{what} of degree {n} underflow double range")
 
 
+def _frozen(values, dtype, shape, what: str) -> np.ndarray:
+    # The one constructor of the package's read-only arrays: a copy of `values` as
+    # `dtype`, of exactly `shape`, with no NaN or Inf, that no caller can write to.
+    out = np.array(values, dtype=dtype)
+    if out.shape != shape:
+        raise ValueError(f"{what} need shape {shape}, got shape {out.shape}")
+    check_finite(out, what)
+    out.flags.writeable = False
+    return out
+
+
+def check_points(z):
+    """The finite nonzero evaluation points z as a 1-d complex array, and z's shape."""
+    shape = np.shape(z)
+    # A scalar runs as a one-point array, out of place: numpy's scalar and
+    # in-place complex products round differently from its array loop.
+    points = np.array(z, dtype=complex).ravel()
+    if np.any(points == 0):
+        raise DomainError("evaluation requires z != 0")
+    check_finite(points, "evaluation points")
+    return points, shape
+
+
 def as_matrix(mat) -> np.ndarray:
     """Coerce an array-like to a read-only 2x2 complex matrix.
 
     Non-finite entries are rejected; no NaN or Inf is admitted into any
     public constructor.
     """
-    out = np.array(mat, dtype=complex)
-    if out.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {out.shape}")
-    check_finite(out, "matrix entries")
-    out.flags.writeable = False
-    return out
+    return _frozen(mat, complex, (2, 2), "matrix entries")
 
 
 @dataclass(frozen=True)
@@ -112,15 +131,7 @@ class LaurentPoly:
 
     def __post_init__(self):
         check_degree(self.n)
-        arr = np.array(self.coeffs, dtype=complex)
-        if arr.shape != (2 * self.n + 1,):
-            raise ValueError(
-                f"need {2 * self.n + 1} coefficients for degree bound {self.n}, "
-                f"got shape {arr.shape}"
-            )
-        check_finite(arr, "coefficients")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _frozen(self.coeffs, complex, (2 * self.n + 1,), "coefficients"))
 
     def __getitem__(self, k: int) -> complex:
         """Coefficient at signed integer exponent k; any other k raises a ValueError."""
@@ -143,13 +154,7 @@ class LaurentPoly:
         all points together, in memory proportional to the number of points.
         Values beyond double range raise a DomainError naming the degree.
         """
-        shape = np.shape(z)
-        # A scalar runs as a one-point array, out of place: numpy's scalar and
-        # in-place complex products round differently from its array loop.
-        z = np.array(z, dtype=complex, ndmin=1)
-        if np.any(z == 0):
-            raise DomainError("Laurent polynomial evaluation requires z != 0")
-        check_finite(z, "evaluation points")
+        z, shape = check_points(z)
         c = self.coeffs
         n = self.n
         with np.errstate(over="ignore", invalid="ignore"):
@@ -171,8 +176,8 @@ def laurent_close(p: LaurentPoly, q: LaurentPoly, tol: float) -> bool:
     Returns True when max_k |p_k - q_k| <= tol * (1 + max_k |p_k|).
     Both arguments must carry the same degree bound.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     if p.n != q.n:
         raise ValueError(f"degree bounds differ: {p.n} vs {q.n}")
     diff = float(np.max(np.abs(p.coeffs - q.coeffs)))

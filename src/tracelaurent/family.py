@@ -25,7 +25,7 @@ from .chebyshev import _scaled_cheb
 # tracer test (perfbench/tests/test_bench_tracer.py) reads family.cheb_eval.
 from .chebyshev import cheb_eval  # noqa: F401
 from .core import QUARTER_TURN_EPS
-from .core import DomainError, LaurentPoly, as_matrix, check_angle, check_degree, check_double_range, check_finite
+from .core import DomainError, LaurentPoly, as_matrix, check_angle, check_degree, check_double_range, check_points
 from .normal_form import _columns, normal_form
 
 __all__ = [
@@ -114,11 +114,7 @@ def closed_form_eval(n: int, theta: float, z):
     """
     check_degree(n)
     c = check_angle(theta)
-    shape = np.shape(z)
-    z = np.array(z, dtype=complex, ndmin=1)  # a scalar runs as a one-point array
-    if np.any(z == 0):
-        raise DomainError("evaluation requires z != 0")
-    check_finite(z, "evaluation points")
+    z, shape = check_points(z)
     values = _family_values(n, 1.0, 1.0, c, z)
     return complex(values[0]) if shape == () else values.reshape(shape)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BOUNDARY_TOL, QUARTER_TURN_EPS, DomainError, check_degree, check_finite, check_open_angle
+from .core import BOUNDARY_TOL, QUARTER_TURN_EPS, DomainError, _frozen, check_degree, check_finite, check_open_angle
 from .chebyshev import cheb_roots
 from .family import _family_values
 # closed_form_eval is not called here; the name stays bound because the
@@ -75,6 +75,7 @@ def _min_gap(roots: np.ndarray) -> float:
 class RootReport:
     """Roots with per-root residuals and the minimum pairwise separation.
 
+    `roots` and `residuals` are read-only arrays of one shape, and finite.
     `angle` and `dilation` are the normal-form parameters the pullback used:
     (theta, 1.0) from `canonical_roots`, the normal form's from `matrix_roots`.
     Each root z corresponds to the canonical root z * dilation at that angle.
@@ -87,12 +88,9 @@ class RootReport:
     dilation: float
 
     def __post_init__(self):
+        shape = np.shape(self.roots)
         for name, dtype in (("roots", complex), ("residuals", float)):
-            values = np.array(getattr(self, name), dtype=dtype)
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
-        if self.roots.shape != self.residuals.shape:
-            raise ValueError("roots and residuals must align")
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype, shape, name))
 
 
 def _pullback(n: int, c: float) -> np.ndarray:

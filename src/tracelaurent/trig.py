@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import _extrema, cheb_roots
-from .core import DomainError, _is_integer, check_degree, check_double_range, check_finite, check_open_angle
+from .core import DomainError, _frozen, _is_integer, check_degree, check_double_range, check_finite, check_open_angle
 from .family import _canonical_coeffs
 
 __all__ = [
@@ -42,12 +42,7 @@ class TrigPoly:
 
     def __post_init__(self):
         check_degree(self.n)
-        arr = np.array(self.cos_coeffs, dtype=float)
-        if arr.shape != (self.n + 1,):
-            raise ValueError(f"need {self.n + 1} cosine coefficients")
-        check_finite(arr, "coefficients")
-        arr.flags.writeable = False
-        object.__setattr__(self, "cos_coeffs", arr)
+        object.__setattr__(self, "cos_coeffs", _frozen(self.cos_coeffs, float, (self.n + 1,), "cosine coefficients"))
 
     def eval(self, t):
         """Value at real or complex t: scalar in, scalar out; array in, array out.

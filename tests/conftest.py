@@ -3,10 +3,13 @@ reference implementations that the package's routes are checked against."""
 
 import cmath
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings, strategies as st
 
+import tracelaurent
 from tracelaurent import DomainError, as_matrix, cheb_eval
 
 # Angle grids used across the suite. GRID6 stresses both limits; GRID8_OPEN
@@ -16,6 +19,14 @@ GRID8_OPEN = tuple(j * math.pi / 32 for j in range(8))
 
 # Property tests draw from a fixed sequence of examples, so the suite stays deterministic.
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+def child_env():
+    """This process's environment with the imported package's source first on
+    PYTHONPATH, so a child interpreter runs the code under test, not whichever
+    `tracelaurent` is installed."""
+    src = str(Path(tracelaurent.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def column_scale_exponents(bound=1000):

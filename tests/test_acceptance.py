@@ -8,8 +8,6 @@ still prints the line for the criterion that broke.
 import cmath
 import json
 import math
-import os
-import shutil
 import subprocess
 import sys
 
@@ -36,6 +34,7 @@ from tracelaurent import (
 from conftest import (
     GRID6,
     GRID8_OPEN,
+    child_env,
     circle_restriction,
     match_sets,
     psd_sqrt,
@@ -59,9 +58,8 @@ def _report(num, desc, ok):
 
 
 def _cli(argv, env_extra=None):
-    exe = shutil.which("tracelaurent")
-    cmd = [exe] + argv if exe else [sys.executable, "-m", "tracelaurent.cli"] + argv
-    env = {k: v for k, v in os.environ.items() if k != "TRACE_LAURENT_TOL"}
+    cmd = [sys.executable, "-m", "tracelaurent.cli", *argv]
+    env = {k: v for k, v in child_env().items() if k != "TRACE_LAURENT_TOL"}
     if env_extra:
         env.update(env_extra)
     return subprocess.run(cmd, capture_output=True, text=True, env=env)

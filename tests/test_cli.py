@@ -4,7 +4,6 @@ import argparse
 import csv
 import json
 import math
-import shutil
 import subprocess
 import sys
 import warnings
@@ -14,6 +13,7 @@ import pytest
 
 from tracelaurent import canonical_matrix, cli, trace_power_coeffs
 from tracelaurent.cli import _COLUMNS, _build_parser, run
+from conftest import child_env
 
 
 @pytest.fixture(autouse=True)
@@ -333,9 +333,8 @@ class TestDeterminism:
     def test_subprocess_matches_in_process(self, capsys):
         argv = ["coeffs", "--n", "3", "--theta", "pi/6", "--format", "csv"]
         _, expected, _ = invoke(capsys, *argv)
-        exe = shutil.which("tracelaurent")
-        cmd = [exe] + argv if exe else [sys.executable, "-m", "tracelaurent.cli"] + argv
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        cmd = [sys.executable, "-m", "tracelaurent.cli", *argv]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert proc.stdout == expected
 

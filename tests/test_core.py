@@ -133,6 +133,12 @@ class TestClose:
         with pytest.raises(ValueError):
             laurent_close(half_sum(), half_sum(), 0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf], ids=repr)
+    def test_tolerance_must_be_finite(self, tol):
+        # A NaN tolerance used to report False and an infinite one True.
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            laurent_close(half_sum(), half_sum(), tol)
+
 
 # Every public entry point that takes a degree, with its other arguments.
 DEGREE_CALLS = [

@@ -1,16 +1,14 @@
 """The demos run cleanly: exit code 0 and nothing on stderr, warnings as errors."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import tracelaurent
+from conftest import child_env
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
-SRC = str(Path(tracelaurent.__file__).resolve().parent.parent)
 
 
 def test_demos_found():
@@ -19,7 +17,6 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
 def test_demo_runs_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True, text=True, env=child_env())
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout

@@ -172,16 +172,19 @@ VALUE_DPS = 40
 
 
 def pencil_params(m):
-    """a = |c1|^2, b = |c2|^2 and d = |det M|^2 of a matrix, in mpmath."""
-    e = [[mpmath.mpc(complex(m[i, j])) for j in range(2)] for i in range(2)]
-    a = abs(e[0][0]) ** 2 + abs(e[1][0]) ** 2
-    b = abs(e[0][1]) ** 2 + abs(e[1][1]) ** 2
-    d = abs(e[0][0] * e[1][1] - e[0][1] * e[1][0]) ** 2
+    """a = |c1|^2, b = |c2|^2 and d = |det M|^2 of a matrix, in mpmath at VALUE_DPS digits."""
+    with mpmath.workdps(VALUE_DPS):
+        e = [[mpmath.mpc(complex(m[i, j])) for j in range(2)] for i in range(2)]
+        a = abs(e[0][0]) ** 2 + abs(e[1][0]) ** 2
+        b = abs(e[0][1]) ** 2 + abs(e[1][1]) ** 2
+        d = abs(e[0][0] * e[1][1] - e[0][1] * e[1][0]) ** 2
     return a, b, d
 
 
 def canonical_params(theta):
-    return 1, 1, mpmath.cos(2 * mpmath.mpf(theta)) ** 2
+    """The canonical matrix's pencil (1, 1, cos^2 2 theta), in mpmath at VALUE_DPS digits."""
+    with mpmath.workdps(VALUE_DPS):
+        return 1, 1, mpmath.cos(2 * mpmath.mpf(theta)) ** 2
 
 
 def family_value(params, n, z):
@@ -268,9 +271,7 @@ EXTREME_RESIDUAL_TOL = 1e-13
 def test_matrix_root_residuals_at_extreme_column_scales(n, scales):
     m = np.array([[1.0, 0.3], [0.2, 1.0]]) * scales
     report = matrix_roots(n, m)
-    with mpmath.workdps(VALUE_DPS):
-        params = pencil_params(m)
-    berr = root_backward_errors(params, n, report.roots, report.residuals)
+    berr = root_backward_errors(pencil_params(m), n, report.roots, report.residuals)
     assert berr[:, 0].max() <= ROOT_BERR_TOL
     assert berr[:, 1].max() <= EXTREME_RESIDUAL_TOL
 

@@ -12,6 +12,7 @@ import tracelaurent.roots
 from tracelaurent import (
     DomainError,
     LaurentPoly,
+    RootReport,
     arc_membership,
     canonical_matrix,
     canonical_roots,
@@ -342,6 +343,22 @@ def test_matrix_roots_under_power_of_two_column_scales(exponents, n, index):
     if fits:
         residuals = np.ldexp(got.residuals, -(p + q) * n)
         assert np.abs(residuals - want.residuals).max() <= 1e-13 * unit
+
+
+class TestReport:
+    def test_validation(self):
+        with pytest.raises(ValueError, match="residuals need shape"):
+            RootReport([1j, -1j], [0.0], 2.0, 0.3, 1.0)
+        # Non-finite roots or residuals used to be stored as given.
+        for roots, residuals in (([math.nan], [0.0]), ([1j], [math.inf]), ([complex(1.0, math.inf)], [0.0])):
+            with pytest.raises(DomainError, match="must be finite"):
+                RootReport(roots, residuals, 0.0, 0.3, 1.0)
+
+    def test_arrays_read_only(self):
+        report = canonical_roots(2, 0.3)
+        for values in (report.roots, report.residuals):
+            with pytest.raises(ValueError):
+                values[0] = 0.0
 
 
 class TestConjugateResiduals:

@@ -8,8 +8,9 @@ tolerance that no code reads, on an imported name that its module, test
 file or demo never reads, on a private function that the package itself
 never reads, on a public function, class or method that neither the package
 nor a demo reads, on a Chebyshev log form outside `chebyshev`, on a matrix
-determinant outside `normal_form`, and on a numpy call in the scalar hot path
-`trig.comb_map`.
+determinant outside `normal_form`, on a numpy call in the scalar hot path
+`trig.comb_map`, and on a read-only array or an array test for zero
+evaluation points built outside `core`.
 """
 
 import ast
@@ -245,3 +246,48 @@ def test_comb_map_stays_off_numpy():
     ]
     offenders = {node.id for node in ast.walk(comb_map) if isinstance(node, ast.Name)} & {"np", "check_finite"}
     assert not offenders, "comb_map reads " + ", ".join(sorted(offenders))
+
+
+def test_arrays_frozen_only_in_core():
+    # core._frozen is the one constructor of the read-only arrays of LaurentPoly,
+    # TrigPoly, RootReport and as_matrix: coerce, check the shape, reject NaN and Inf,
+    # freeze. A second `flags.writeable` is a second copy of that constructor.
+    found = {
+        path.name: [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in ("writeable", "setflags")
+        ]
+        for path in _modules()
+    }
+    offenders = [f"{name}:{line}" for name, lines in found.items() if name != "core.py" for line in lines]
+    assert not offenders, "build read-only arrays with core._frozen: " + ", ".join(offenders)
+    assert found["core.py"], "the guard sees no frozen array in core"
+
+
+def _zero_point_tests(tree):
+    """Array tests for a zero point, as in np.any(z == 0) or (z == 0).any()."""
+    return [
+        call
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and "any" in _reads([call.func])
+        for node in ast.walk(call)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], ast.Eq)
+        and any(isinstance(side, ast.Constant) and side.value == 0 for side in node.comparators)
+    ]
+
+
+def test_evaluation_points_read_only_in_core():
+    # core.check_points reads the finite nonzero points of LaurentPoly.eval and
+    # closed_form_eval. The scalar classifier arc_membership keeps its own `z == 0`:
+    # it is no array test, and check_points would cost it ~5 us per call.
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in _modules()
+        if path.name != "core.py"
+        for node in _zero_point_tests(ast.parse(path.read_text()))
+    ]
+    assert not offenders, "read evaluation points with core.check_points: " + ", ".join(offenders)
+    assert _zero_point_tests(ast.parse((PACKAGE / "core.py").read_text())), "the guard sees no zero test in core"
