@@ -17,9 +17,8 @@ Identical invocations produce byte-identical documents.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (non-generic matrix,
 angle out of range, coefficients beyond double range, or for roots, trig and
-comb an angle at pi/4, meaning cos 2 theta < 1e-9), 4 --verify disagreement.
-The environment variable TRACE_LAURENT_TOL overrides the default --verify
-comparison tolerance 1e-10.
+comb an angle at pi/4, meaning cos 2 theta < 1e-9), 4 --verify disagreement
+beyond the fixed tolerance 1e-10.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -71,30 +69,27 @@ class _VerifyMismatch(Exception):
     pass
 
 
+def _parse_finite(convert, token: str, text: str, what: str, hint: str = ""):
+    """`convert(token)` if it parses to a finite number; usage errors quote `text`."""
+    try:
+        value = convert(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {what} {text!r}{hint}") from None
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite {what} {text!r}")
+    return value
+
+
 def _parse_theta(text: str) -> float:
     token = text.strip()
     if token in _ANGLE_TOKENS:
         return _ANGLE_TOKENS[token]
-    try:
-        value = float(token)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse angle {text!r} (decimal radians or pi/4, pi/6, pi/8, pi/16)"
-        ) from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"non-finite angle {text!r}")
-    return value
+    return _parse_finite(float, token, text, "angle", " (decimal radians or pi/4, pi/6, pi/8, pi/16)")
 
 
 def _parse_complex(text: str) -> complex:
-    token = text.strip().replace(" ", "")
-    try:
-        value = complex(token.replace("i", "j").replace("I", "J"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse complex entry {text!r}") from None
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise argparse.ArgumentTypeError(f"non-finite complex entry {text!r}")
-    return value
+    token = text.strip().replace(" ", "").replace("i", "j").replace("I", "J")
+    return _parse_finite(complex, token, text, "complex entry")
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -114,30 +109,13 @@ def _parse_matrix(text: str) -> np.ndarray:
     return np.array(entries, dtype=complex)
 
 
-def _comparison_tol() -> float:
-    raw = os.environ.get("TRACE_LAURENT_TOL")
-    if raw is None:
-        return VERIFY_TOL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"invalid TRACE_LAURENT_TOL value {raw!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"TRACE_LAURENT_TOL must be a positive finite number, got {raw!r}")
-    return value
-
-
 def _cjson(value: complex) -> dict:
     return {"re": float(value.real), "im": float(value.imag)}
 
 
-def _matrix_json(mat) -> list:
-    return [[_cjson(complex(mat[i, j])) for j in range(2)] for i in range(2)]
-
-
 def _input_json(value):
     if isinstance(value, np.ndarray):
-        return _matrix_json(value)
+        return [[_cjson(complex(entry)) for entry in row] for row in value]
     return _cjson(value) if isinstance(value, complex) else value
 
 
@@ -150,7 +128,6 @@ def _coeff_records(poly: LaurentPoly) -> list[tuple]:
 
 
 def _cmd_coeffs(args):
-    tol = _comparison_tol() if args.verify else None
     if args.verify and args.theta is None:
         raise ValueError("--verify requires --theta (the cross-check pair is trace vs closed form)")
     n = args.n
@@ -164,11 +141,13 @@ def _cmd_coeffs(args):
     else:
         poly = _closed_form_matrix_coeffs(n, mat)
     if args.verify:
+        # The printed table against the trace route; a trace table against the closed form.
         trace_poly = poly if args.method == "trace" else trace_power_coeffs(n, mat)
-        closed_poly = poly if args.method == "closed" else closed_form_coeffs(n, args.theta)
-        if not laurent_close(trace_poly, closed_poly, tol):
+        other = closed_form_coeffs(n, args.theta) if args.method == "trace" else poly
+        other_name = "brute-force" if args.method == "brute" else "closed-form"
+        if not laurent_close(trace_poly, other, VERIFY_TOL):
             raise _VerifyMismatch(
-                f"trace and closed-form coefficient tables disagree beyond tolerance {tol}"
+                f"trace and {other_name} coefficient tables disagree beyond tolerance {VERIFY_TOL}"
             )
     records = _coeff_records(poly)
     return {"coefficients": _entries("coeffs", records)}, records
@@ -294,7 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--n", "--theta|--matrix")
     p.add_argument("--method", choices=("trace", "closed", "brute"), default="trace")
     p.add_argument("--verify", action="store_true",
-                   help="cross-check trace vs closed form; exit 4 on disagreement")
+                   help="cross-check the printed table against the trace route (a trace table "
+                        "against the closed form); exit 4 on disagreement")
     command("normal-form", _cmd_normal_form, "normal form parameters of a matrix", "--matrix")
     command("roots", _cmd_roots, "root localization report", "--n", "--theta|--matrix")
     p = command("eval", _cmd_eval, "evaluate one family member two ways", "--n", "--theta")

@@ -57,12 +57,9 @@ def _report(num, desc, ok):
     assert ok, f"criterion {num:02d} failed: {desc}"
 
 
-def _cli(argv, env_extra=None):
-    cmd = [sys.executable, "-m", "tracelaurent.cli", *argv]
-    env = {k: v for k, v in child_env().items() if k != "TRACE_LAURENT_TOL"}
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+def _cli(argv, child=("-m", "tracelaurent.cli")):
+    cmd = [sys.executable, *child, *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=child_env())
 
 
 def test_criterion_01_three_route_agreement():
@@ -291,7 +288,7 @@ def test_criterion_11_cli_contract():
     # pi/6 they agree bit for bit), so a tiny tolerance must report a mismatch.
     mismatch = _cli(
         ["coeffs", "--n", "2", "--theta", "pi/8", "--verify"],
-        env_extra={"TRACE_LAURENT_TOL": "1e-300"},
+        child=("-c", "import tracelaurent.cli as c; c.VERIFY_TOL = 1e-300; c.main()"),
     )
     ok = ok and mismatch.returncode == 4
     doc = json.loads(_cli(["coeffs", "--n", "2", "--theta", "pi/8"]).stdout)

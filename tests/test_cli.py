@@ -11,14 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from tracelaurent import canonical_matrix, cli, trace_power_coeffs
+from tracelaurent import LaurentPoly, canonical_matrix, cli, trace_power_coeffs
 from tracelaurent.cli import _COLUMNS, _build_parser, run
 from conftest import child_env
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("TRACE_LAURENT_TOL", raising=False)
 
 
 def invoke(capsys, *argv):
@@ -103,25 +98,23 @@ class TestCoeffs:
         assert code == 0, err
 
     def test_verify_mismatch_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setenv("TRACE_LAURENT_TOL", "1e-300")
+        monkeypatch.setattr(cli, "VERIFY_TOL", 1e-300)
         # The routes' constant terms differ in the last bit at n = 2, pi/8.
         code, _, err = invoke(capsys, "coeffs", "--n", "2", "--theta", "pi/8", "--verify")
         assert code == 4
         assert "disagree" in err
 
-    def test_invalid_tolerance_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("TRACE_LAURENT_TOL", "not-a-number")
-        code, _, err = invoke(capsys, "coeffs", "--n", "2", "--theta", "pi/6", "--verify")
-        assert code == 2
-        assert "TRACE_LAURENT_TOL" in err
-
-    def test_tolerance_env_read_only_under_verify(self, capsys, monkeypatch):
-        # The variable sets the --verify tolerance only; a bad value used to
-        # fail every coeffs call with exit 2.
-        monkeypatch.setenv("TRACE_LAURENT_TOL", "garbage")
-        code, out, err = invoke(capsys, "coeffs", "--n", "2", "--theta", "pi/6")
-        assert (code, err) == (0, "")
-        assert json.loads(out)["data"]["coefficients"][2]["re"] == pytest.approx(1.5)
+    def test_verify_checks_the_printed_brute_table(self, capsys, monkeypatch):
+        # --method brute used to compare the trace and closed-form tables,
+        # neither of which it prints, and passed whatever the brute route gave.
+        brute = cli.brute_force_coeffs
+        monkeypatch.setattr(cli, "brute_force_coeffs",
+                            lambda n, mat: LaurentPoly(n, brute(n, mat).coeffs * 1.01))
+        code, out, err = invoke(capsys, "coeffs", "--n", "3", "--theta", "pi/8",
+                                "--method", "brute", "--verify")
+        assert (code, out) == (4, "")
+        assert err == ("error: trace and brute-force coefficient tables disagree "
+                       "beyond tolerance 1e-10\n")
 
     def test_verify_without_theta_exit_2(self, capsys):
         code, _, err = invoke(capsys, "coeffs", "--n", "2", "--matrix", "1,0;0,1", "--verify")
@@ -515,10 +508,27 @@ class TestUsageErrors:
         code, _, err = invoke(capsys, "coeffs", "--n", "2", "--theta", "bogus")
         assert code == 2
         assert "bogus" in err
+        prefix = "tracelaurent coeffs: error: argument --theta: "
+        for token in ("inf", "nan"):
+            code, out, err = invoke(capsys, "coeffs", "--n", "2", "--theta", token)
+            assert (code, out) == (2, "")
+            assert err.endswith(f"{prefix}non-finite angle '{token}'\n"), err
+        prefix = "tracelaurent eval: error: argument --z: "
+        for token, message in (("1+xi", "cannot parse complex entry '1+xi'"),
+                               ("nan", "non-finite complex entry 'nan'")):
+            code, out, err = invoke(capsys, "eval", "--n", "2", "--theta", "pi/6", "--z", token)
+            assert (code, out) == (2, "")
+            assert err.endswith(f"{prefix}{message}\n"), err
 
     def test_bad_matrix_spec(self, capsys):
         code, _, _ = invoke(capsys, "coeffs", "--n", "2", "--matrix", "1,2,3")
         assert code == 2
+        prefix = "tracelaurent coeffs: error: argument --matrix: "
+        for spec, message in (("inf,0;0,1", "cannot parse complex entry 'inf'"),
+                              ("1,0,2;0,1", "matrix row '1,0,2' needs 2 comma-separated entries")):
+            code, out, err = invoke(capsys, "coeffs", "--n", "2", "--matrix", spec)
+            assert (code, out) == (2, "")
+            assert err.endswith(f"{prefix}{message}\n"), err
 
     def test_theta_and_matrix_conflict(self, capsys):
         code, _, _ = invoke(

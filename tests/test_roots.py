@@ -133,6 +133,9 @@ class TestArcs:
     def test_angle_at_quarter_rejected(self):
         with pytest.raises(DomainError):
             arc_membership(1j, math.pi / 4)
+        for z in (0, 0j):
+            with pytest.raises(DomainError, match="classification requires z != 0"):
+                arc_membership(z, math.pi / 6)
 
 
 class TestCanonicalRoots:
