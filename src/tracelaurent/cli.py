@@ -88,7 +88,8 @@ def _parse_theta(text: str) -> float:
 
 
 def _parse_complex(text: str) -> complex:
-    token = text.strip().replace(" ", "").replace("i", "j").replace("I", "J")
+    token = text.strip().replace(" ", "")  # only a trailing i or I is the imaginary unit
+    token = token[:-1] + "j" if token.endswith(("i", "I")) else token
     return _parse_finite(complex, token, text, "complex entry")
 
 

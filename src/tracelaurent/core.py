@@ -148,24 +148,17 @@ class LaurentPoly:
         """Evaluate at one nonzero point or at an array of them.
 
         A scalar z gives a complex, an array an ndarray of its shape; every
-        point must be finite and nonzero. Split into a non-negative-power
-        Horner pass in z and a negative-power Horner pass in 1/z, so neither
-        large nor small |z| overflows artificially. Each pass steps once per coefficient over
-        all points together, in memory proportional to the number of points.
-        Values beyond double range raise a DomainError naming the degree.
+        point must be finite and nonzero. Two `np.polyval` Horner passes, over
+        the non-negative powers in z and the negative powers in 1/z, keep large
+        and small |z| from overflowing artificially; each steps once per
+        coefficient over all points together. Values beyond double range raise
+        a DomainError naming the degree.
         """
         z, shape = check_points(z)
-        c = self.coeffs
-        n = self.n
+        c, n = self.coeffs, self.n
         with np.errstate(over="ignore", invalid="ignore"):
-            pos = np.full_like(z, c[2 * n])
-            for i in range(2 * n - 1, n - 1, -1):
-                pos = pos * z + c[i]
             w = 1 / z
-            neg = np.full_like(z, c[0])
-            for i in range(1, n):
-                neg = neg * w + c[i]
-            out = pos + neg * w
+            out = np.polyval(c[n:][::-1], z) + np.polyval(c[:n], w) * w
         check_double_range(out, "Laurent polynomial values", n)
         return complex(out[0]) if shape == () else out.reshape(shape)
 

@@ -54,7 +54,7 @@ def trace_power_coeffs(n: int, mat) -> LaurentPoly:
     """
     check_degree(n)
     m = as_matrix(mat)
-    a, b, c, e1, e2 = _columns(m)
+    a, b, c, _, e1, e2 = _columns(m)
     with np.errstate(over="ignore", invalid="ignore"):
         a, b, c = np.ldexp([a, b, c], [2 * e1, 2 * e2, e1 + e2])
         d = c ** 2

@@ -34,15 +34,16 @@ __all__ = [
 def _columns(m: np.ndarray):
     # The one read of a matrix from as_matrix: each column is divided, exactly, by the power
     # of two 2^e just above its largest |entry| (numpy's array abs) before any square or
-    # product. Returns a' = |c1'|^2, b' = |c2'|^2, c' = |det M'|, e1 and e2; bit for bit,
-    # |c1|^2 = a' 4^e1, |c2|^2 = b' 4^e2 and |det M| = c' 2^(e1 + e2) wherever they fit.
+    # product. Returns a' = |c1'|^2, b' = |c2'|^2, c' = |det M'|, the overlap
+    # g' = <c1', c2'>, e1 and e2; bit for bit, |c1|^2 = a' 4^e1, |c2|^2 = b' 4^e2 and
+    # |det M| = c' 2^(e1 + e2) wherever they fit, and <c1, c2> = g' 2^(e1 + e2).
     (p, q), (r, s) = m.tolist()
     (mp, mq), (mr, ms) = np.abs(m).tolist()
     e1, e2 = math.frexp(max(mp, mr))[1], math.frexp(max(mq, ms))[1]
     mp, mr, mq, ms = math.ldexp(mp, -e1), math.ldexp(mr, -e1), math.ldexp(mq, -e2), math.ldexp(ms, -e2)
     p, r = (complex(math.ldexp(v.real, -e1), math.ldexp(v.imag, -e1)) for v in (p, r))
     q, s = (complex(math.ldexp(v.real, -e2), math.ldexp(v.imag, -e2)) for v in (q, s))
-    return mp * mp + mr * mr, mq * mq + ms * ms, abs(p * s - q * r), e1, e2
+    return mp * mp + mr * mr, mq * mq + ms * ms, abs(p * s - q * r), p.conjugate() * q + r.conjugate() * s, e1, e2
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,14 @@ class NormalForm:
 def normal_form(mat) -> NormalForm:
     """Reduce a generic matrix to its normal form parameters.
 
-    The input is read once: its column norms give the scale and dilation, and
-    dividing by them gives the unit-column matrix U. A zero column, or a scale
-    or dilation outside the normal double range, raises a DomainError naming
-    it. |<u1, u2>| = sin(2 angle) and |det U| = cos(2 angle), so the angle is
-    half their atan2: accurate to rounding up to pi/4, where the arcsine of
-    the overlap alone loses half the digits, and in [0, pi/4] by
-    construction, even where rounding lifts the overlap above 1. A zero
-    overlap carries the conventional phase 1.
+    The input is read once: its column norms give the scale and dilation. A
+    zero column, or a scale or dilation outside the normal double range,
+    raises a DomainError naming it. The same rescaled columns give the overlap
+    g = <c1, c2> and |det M|; |g| and |det M| are |c1| |c2| times sin(2 angle)
+    and cos(2 angle), so the angle is half their atan2: accurate to rounding up to
+    pi/4, where the arcsine of the unit overlap alone loses half the digits,
+    and in [0, pi/4] by construction. The phase is g / |g|; a zero overlap
+    carries the conventional phase 1.
     """
     return _reduce(mat)[0]
 
@@ -86,15 +87,11 @@ def normal_form(mat) -> NormalForm:
 def _reduce(mat):
     # normal_form's one pass, and the column read that matrix_roots' residuals share.
     m = as_matrix(mat)
-    a, b, _, e1, e2 = columns = _columns(m)
+    a, b, det, overlap, e1, e2 = columns = _columns(m)
     if not (a > 0.0 and b > 0.0):
         raise DomainError("non-generic matrix: a column is zero")
-    with np.errstate(over="ignore", invalid="ignore"):  # NormalForm names a norm out of range
-        norms = np.ldexp(np.sqrt([a, b]), [e1, e2])
-        unit = m / norms
-        overlap = complex(np.vdot(unit[:, 0], unit[:, 1]))
-        det = abs(complex(unit[0, 0] * unit[1, 1] - unit[0, 1] * unit[1, 0]))
-    r1, r2 = norms.tolist()
+    with np.errstate(over="ignore"):  # NormalForm names a norm out of range
+        r1, r2 = np.ldexp(np.sqrt([a, b]), [e1, e2]).tolist()
     mag = abs(overlap)
     phase = overlap / mag if mag > 0.0 else 1.0 + 0j
     return NormalForm(r1 * r2, r1 / r2, 0.5 * math.atan2(mag, det), phase), columns

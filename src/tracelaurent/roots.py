@@ -133,7 +133,7 @@ def matrix_roots(n: int, mat) -> RootReport:
     dilation < 2^(t+1); each conjugate root shares its partner's value.
     """
     check_degree(n)
-    nf, (a, b, det, e1, e2) = _reduce(mat)
+    nf, (a, b, det, _, e1, e2) = _reduce(mat)
     c = math.cos(2.0 * nf.angle)
     if c < QUARTER_TURN_EPS:
         raise DomainError(

@@ -11,6 +11,7 @@ from hypothesis import settings, strategies as st
 
 import tracelaurent
 from tracelaurent import DomainError, as_matrix, cheb_eval
+from tracelaurent.core import check_points
 
 # Angle grids used across the suite. GRID6 stresses both limits; GRID8_OPEN
 # stays strictly below pi/4 for the operations that require it.
@@ -77,6 +78,26 @@ def unit_overlap(mat) -> complex:
     m = as_matrix(mat)
     unit = m / np.sqrt(np.sum(np.abs(m) ** 2, axis=0))
     return complex(np.vdot(unit[:, 0], unit[:, 1]))
+
+
+def split_horner_loops(poly, z):
+    """LaurentPoly.eval's two Horner passes written out as loops, the bit-for-bit reference
+    of its np.polyval form: the powers z^0..z^n stepped in z, then z^-n..z^-1 in 1/z.
+
+    Scalar in, complex out; array in, array of its shape out.
+    """
+    points, shape = check_points(z)
+    c, n = poly.coeffs, poly.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = np.full_like(points, c[2 * n])
+        for i in range(2 * n - 1, n - 1, -1):
+            pos = pos * points + c[i]
+        w = 1 / points
+        neg = np.full_like(points, c[0])
+        for i in range(1, n):
+            neg = neg * w + c[i]
+        out = pos + neg * w
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 def plain_pencil(mat):

@@ -515,7 +515,9 @@ class TestUsageErrors:
             assert err.endswith(f"{prefix}non-finite angle '{token}'\n"), err
         prefix = "tracelaurent eval: error: argument --z: "
         for token, message in (("1+xi", "cannot parse complex entry '1+xi'"),
-                               ("nan", "non-finite complex entry 'nan'")):
+                               ("nan", "non-finite complex entry 'nan'"),
+                               ("infj", "non-finite complex entry 'infj'"),
+                               ("nan+infj", "non-finite complex entry 'nan+infj'")):
             code, out, err = invoke(capsys, "eval", "--n", "2", "--theta", "pi/6", "--z", token)
             assert (code, out) == (2, "")
             assert err.endswith(f"{prefix}{message}\n"), err
@@ -524,7 +526,7 @@ class TestUsageErrors:
         code, _, _ = invoke(capsys, "coeffs", "--n", "2", "--matrix", "1,2,3")
         assert code == 2
         prefix = "tracelaurent coeffs: error: argument --matrix: "
-        for spec, message in (("inf,0;0,1", "cannot parse complex entry 'inf'"),
+        for spec, message in (("inf,0;0,1", "non-finite complex entry 'inf'"),
                               ("1,0,2;0,1", "matrix row '1,0,2' needs 2 comma-separated entries")):
             code, out, err = invoke(capsys, "coeffs", "--n", "2", "--matrix", spec)
             assert (code, out) == (2, "")

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import tracelaurent as tl
 from tracelaurent import DomainError, LaurentPoly, as_matrix, laurent_close
 from tracelaurent.core import QUARTER_TURN_EPS, check_angle, check_open_angle
+from conftest import random_unit_column_matrix, split_horner_loops
 
 
 def half_sum():
@@ -49,6 +50,32 @@ class TestEval:
         for z in (0.5 + 0.25j, -1.5j, 2.0, -0.3 + 0.9j):
             direct = sum(c * z ** k for k, c in p.terms())
             assert p.eval(z) == pytest.approx(direct, rel=1e-12)
+
+
+class TestEvalAgainstLoops:
+    # np.polyval runs the same Horner recurrence as the hand-written loops, so every
+    # route table must evaluate to the same bytes as conftest's loop reference.
+    @pytest.fixture(scope="class")
+    def points(self):
+        rng = np.random.default_rng(29)
+        radii = rng.uniform(0.8, 1.25, size=12)
+        return radii * np.exp(1j * rng.uniform(-math.pi, math.pi, size=12))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64, 257])
+    def test_route_tables_bit_for_bit(self, n, points):
+        rng = np.random.default_rng(n)
+        mats = [random_unit_column_matrix(rng), tl.canonical_matrix(math.pi / 6)]
+        tables = [tl.trace_power_coeffs(n, m) for m in mats]
+        tables += [tl.closed_form_coeffs(n, theta) for theta in (0.0, 0.3, math.pi / 4)]
+        if n <= 16:
+            tables += [tl.brute_force_coeffs(n, m) for m in mats]
+        for poly in tables:
+            for z in (points, points.reshape(3, 4)):
+                assert poly.eval(z).tobytes() == split_horner_loops(poly, z).tobytes()
+            for z in (points[0], complex(points[1]), 1.0, -1j):
+                got = poly.eval(z)
+                assert type(got) is complex
+                assert np.array(got).tobytes() == np.array(split_horner_loops(poly, z)).tobytes()
 
 
 class TestContainer:

@@ -3,11 +3,20 @@
 import importlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tracelaurent import DomainError, NormalForm, canonical_matrix, matrix_roots, normal_form
-from conftest import psd_sqrt, random_generic_matrix, random_unit_column_matrix, unit_overlap
+from conftest import (
+    DERANDOMIZED,
+    column_scale_exponents,
+    psd_sqrt,
+    random_generic_matrix,
+    random_unit_column_matrix,
+    unit_overlap,
+)
 
 
 # The package's `normal_form` attribute is the function; this is its module.
@@ -241,6 +250,64 @@ class TestAngle:
             NormalForm(math.inf, 1.0, 0.3, 1.0)
         with pytest.raises(DomainError, match="normal-form scale 1e-320 leaves the normal double range"):
             NormalForm(1e-320, 1.0, 0.3, 1.0)
+
+
+ACCURACY_TOL = 1e-14  # relative error of the angle, absolute error of the unit phase
+
+
+def mp_angle_phase(mat):
+    """The angle and phase of `mat` in 40-digit mpmath, from the exact double entries:
+    half the atan2 of |<c1, c2>| and |det M|, and <c1, c2> / |<c1, c2>|."""
+    with mpmath.workdps(40):
+        (p, q), (r, s) = [[mpmath.mpc(complex(v)) for v in row] for row in np.asarray(mat)]
+        g = mpmath.conj(p) * q + mpmath.conj(r) * s
+        return mpmath.atan2(abs(g), abs(p * s - q * r)) / 2, g / abs(g)
+
+
+def assert_angle_phase_accurate(mat):
+    nf = normal_form(mat)
+    angle, phase = mp_angle_phase(mat)
+    with mpmath.workdps(40):
+        assert float(abs(nf.angle - angle) / angle) <= ACCURACY_TOL, (mat, nf)
+        assert float(abs(mpmath.mpc(nf.phase) - phase)) <= ACCURACY_TOL, (mat, nf)
+    return nf
+
+
+def gaussian_matrices(count):
+    """`count` seeded matrices with independent N(0, 1) real and imaginary parts."""
+    rng = np.random.default_rng(61)
+    return [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(count)]
+
+
+class TestAccuracy:
+    def test_gaussian_matrices(self):
+        for m in gaussian_matrices(200):
+            assert_angle_phase_accurate(m)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-12])
+    def test_near_parallel_columns(self, eps):
+        # Angles within ~eps / 2 of pi/4, where the overlap is nearly |c1| |c2|.
+        rng = np.random.default_rng(67)
+        for _ in range(50):
+            v, u = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(2))
+            w = complex(rng.normal(), rng.normal())
+            assert_angle_phase_accurate(np.column_stack([v, w * v + eps * u]))
+
+    @DERANDOMIZED
+    @given(column_scale_exponents(), st.sampled_from(range(20)))
+    def test_power_of_two_column_scales(self, exponents, index):
+        # Scaling the columns by 2^p and 2^q is exact and leaves the angle and phase
+        # unchanged, wherever the scale and dilation stay in the normal double range.
+        p, q = exponents
+        base = gaussian_matrices(20)[index]
+        unscaled = normal_form(base)
+        try:
+            nf = assert_angle_phase_accurate(base * [2.0 ** p, 2.0 ** q])
+        except DomainError:
+            log_scale, log_dilation = math.log2(unscaled.scale) + p + q, math.log2(unscaled.dilation) + p - q
+            assert not (-1020 < log_scale < 1020 and -1020 < log_dilation < 1020), exponents
+            return
+        assert (nf.angle, nf.phase) == (unscaled.angle, unscaled.phase)
 
 
 class TestNormalForm:

@@ -223,8 +223,9 @@ def _column_products(tree, exempt=()):
 def test_matrix_determinant_only_in_normal_form():
     # A matrix's columns are read in one place, normal_form._columns, which the normal
     # form, the trace route and matrix_roots' residuals share; a determinant formed
-    # anywhere else is a second reader of the same pencil. brute_force_coeffs forms its
-    # own projection products: it is the oracle.
+    # anywhere else, or a second one in normal_form.py, is a second reader of the same
+    # pencil, and so is an np.vdot of the columns anywhere in the package.
+    # brute_force_coeffs forms its own projection products: it is the oracle.
     offenders = [
         f"{path.name}:{node.lineno}"
         for path in _modules()
@@ -232,7 +233,9 @@ def test_matrix_determinant_only_in_normal_form():
         for node in _column_products(ast.parse(path.read_text()), exempt={"brute_force_coeffs"})
     ]
     assert not offenders, "read the columns through normal_form._columns: " + ", ".join(offenders)
-    assert _column_products(ast.parse((PACKAGE / "normal_form.py").read_text())), "the guard sees no determinant"
+    found = _column_products(ast.parse((PACKAGE / "normal_form.py").read_text()))
+    assert len(found) == 1, f"normal_form.py forms {len(found)} determinants, not one"
+    assert not [path.name for path in _modules() if "vdot" in path.read_text()], "overlaps come from _columns"
     family = ast.parse((PACKAGE / "family.py").read_text())
     assert _column_products(family), "the guard sees no projection product in the oracle"
 
