@@ -129,24 +129,19 @@ def _coeff_records(poly: LaurentPoly) -> list[tuple]:
 
 
 def _cmd_coeffs(args):
-    if args.verify and args.theta is None:
-        raise ValueError("--verify requires --theta (the cross-check pair is trace vs closed form)")
-    n = args.n
-    mat = args.matrix if args.theta is None else canonical_matrix(args.theta)
-    if args.method == "trace":
-        poly = trace_power_coeffs(n, mat)
-    elif args.method == "brute":
-        poly = brute_force_coeffs(n, mat)
-    elif args.theta is not None:
-        poly = closed_form_coeffs(n, args.theta)
-    else:
-        poly = _closed_form_matrix_coeffs(n, mat)
+    n, theta = args.n, args.theta
+    mat = args.matrix if theta is None else canonical_matrix(theta)
+    routes = {
+        "trace": lambda: trace_power_coeffs(n, mat),
+        "brute": lambda: brute_force_coeffs(n, mat),
+        "closed": lambda: _closed_form_matrix_coeffs(n, mat) if theta is None else closed_form_coeffs(n, theta),
+    }
+    poly = routes[args.method]()
     if args.verify:
         # The printed table against the trace route; a trace table against the closed form.
-        trace_poly = poly if args.method == "trace" else trace_power_coeffs(n, mat)
-        other = closed_form_coeffs(n, args.theta) if args.method == "trace" else poly
+        pair = (poly, routes["closed"]()) if args.method == "trace" else (routes["trace"](), poly)
         other_name = "brute-force" if args.method == "brute" else "closed-form"
-        if not laurent_close(trace_poly, other, VERIFY_TOL):
+        if not laurent_close(*pair, VERIFY_TOL):
             raise _VerifyMismatch(
                 f"trace and {other_name} coefficient tables disagree beyond tolerance {VERIFY_TOL}"
             )
@@ -275,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("trace", "closed", "brute"), default="trace")
     p.add_argument("--verify", action="store_true",
                    help="cross-check the printed table against the trace route (a trace table "
-                        "against the closed form); exit 4 on disagreement")
+                        "against the closed form of --theta or of --matrix); exit 4 on disagreement")
     command("normal-form", _cmd_normal_form, "normal form parameters of a matrix", "--matrix")
     command("roots", _cmd_roots, "root localization report", "--n", "--theta|--matrix")
     p = command("eval", _cmd_eval, "evaluate one family member two ways", "--n", "--theta")

@@ -3,8 +3,8 @@
 For angles strictly below pi/4, the degree-n canonical family member has all
 2n roots simple, on the unit circle, inside the open arcs where the principal
 argument a satisfies 2 theta < |a| < pi - 2 theta. The roots are obtained
-analytically by pulling the n Chebyshev roots back through the scaled
-Joukowski map (z + 1/z) / (2 cos 2 theta); no iterative solver is involved.
+analytically by pulling the n Chebyshev roots back through the scaled Joukowski
+map (z + 1/z) / (2 cos 2 theta), free of cancellation, with no iterative solver.
 
 The pullback fixes the layout of every report: roots[0::2] are the upper
 roots with real parts ascending, and roots[1::2] their exact conjugates. The
@@ -93,15 +93,18 @@ class RootReport:
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype, shape, name))
 
 
-def _pullback(n: int, c: float) -> np.ndarray:
-    # Each Chebyshev root zeta pulls back to the conjugate pair x +- iy on the
-    # unit circle, x = c zeta with c = cos(2 theta), y = sqrt(1 - x^2), all at once.
-    x = c * cheb_roots(n)
-    y = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    roots = np.empty(2 * n, dtype=complex)
-    roots[0::2] = x + 1j * y
-    roots[1::2] = x - 1j * y
-    return roots
+def _pullback(n: int, theta: float, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (x, y) of the upper preimages x + iy on the unit circle of zeta = cos(m pi / 2n), the n roots (m odd)
+    # or n + 1 extrema (m even) of T_n: x = cos(2 theta) zeta, y = sqrt(1 - x^2) = hypot(sin a, sin(2 theta) zeta),
+    # a = min(m, 2n - m) pi / 2n folded into [0, pi/2], so nothing cancels next to +-1; 2n - m is m reversed.
+    m = np.arange(2 * n - 1, 0, -2) if zeta.size == n else np.arange(0, 2 * n + 1, 2)
+    y = np.hypot(np.sin(np.minimum(m, m[::-1]) * (math.pi / (2 * n))), math.sin(2.0 * theta) * zeta)
+    return math.cos(2.0 * theta) * zeta, y
+
+
+def _conjugate_pairs(x, y) -> np.ndarray:
+    # The report layout: x + iy at even indices, x - iy at odd ones.
+    return np.column_stack([x, y, x, -y]).view(complex).ravel()
 
 
 def canonical_roots(n: int, theta: float) -> RootReport:
@@ -113,7 +116,7 @@ def canonical_roots(n: int, theta: float) -> RootReport:
     """
     check_degree(n)
     c = check_open_angle(theta)
-    roots = _pullback(n, c)
+    roots = _conjugate_pairs(*_pullback(n, theta, cheb_roots(n)))
     residuals = np.repeat(np.abs(_family_values(n, 1.0, 1.0, c, roots[0::2])), 2)
     return RootReport(roots, residuals, _min_gap(roots), float(theta), 1.0)
 
@@ -134,13 +137,12 @@ def matrix_roots(n: int, mat) -> RootReport:
     """
     check_degree(n)
     nf, (a, b, det, _, e1, e2) = _reduce(mat)
-    c = math.cos(2.0 * nf.angle)
-    if c < QUARTER_TURN_EPS:
+    if math.cos(2.0 * nf.angle) < QUARTER_TURN_EPS:
         raise DomainError(
             "angle at pi/4: roots collapse to +-i with multiplicity n; "
             "localization requires an angle strictly below pi/4"
         )
-    roots = _pullback(n, c) / nf.dilation
+    roots = _conjugate_pairs(*_pullback(n, nf.angle, cheb_roots(n))) / nf.dilation
     t = math.frexp(nf.dilation)[1] - 1
     with np.errstate(over="ignore"):
         pencil = np.ldexp([a, b, det], [2 * e1 - t, 2 * e2 + t, e1 + e2])

@@ -21,6 +21,7 @@ import numpy as np
 from .chebyshev import _extrema, cheb_roots
 from .core import DomainError, _frozen, _is_integer, check_degree, check_double_range, check_finite, check_open_angle
 from .family import _canonical_coeffs
+from .roots import _pullback
 
 __all__ = [
     "IntervalSystem",
@@ -112,28 +113,30 @@ class IntervalSystem:
 def trig_roots(n: int, theta: float) -> np.ndarray:
     """Roots of the cosine polynomial in the fundamental interval, ascending.
 
-    Each Chebyshev root zeta_j pulls back to arccos(cos(2 theta) zeta_j),
-    which lies strictly inside (2 theta, pi - 2 theta), in one array pass.
-    All n roots are simple.
+    Each Chebyshev root pulls back to the argument atan2(y, x) of its upper
+    root x + iy in `canonical_roots`, strictly inside (2 theta, pi - 2 theta),
+    in one array pass. All n roots are simple.
     """
     check_degree(n)
-    c = check_open_angle(theta)
-    return np.arccos(c * cheb_roots(n))[::-1]
+    check_open_angle(theta)
+    x, y = _pullback(n, theta, cheb_roots(n))
+    return np.arctan2(y, x)[::-1]
 
 
 def unit_level_roots(n: int, theta: float) -> list[tuple[float, int, int]]:
     """Roots of (cosine polynomial)^2 = 1 in the fundamental interval.
 
     Returns (root, level, multiplicity) triples sorted by root: the n + 1
-    points t_k = arccos(cos(2 theta) cos(k pi/n)), k = 0..n, at level
-    (-1)^k, with multiplicity 2 inside and 1 at the band endpoints t_0 and
-    t_n, which are exactly 2 theta and pi - 2 theta. Total multiplicity is n
-    per level, 2n per period, at every degree.
+    points t_k = arccos(cos(2 theta) cos(k pi/n)), k = 0..n, pulled back as
+    `trig_roots` pulls back its roots, at level (-1)^k, with multiplicity 2
+    inside and 1 at the band endpoints t_0 and t_n, which are exactly 2 theta
+    and pi - 2 theta. Total multiplicity is n per level, 2n per period, at every degree.
     """
     check_degree(n)
-    c = check_open_angle(theta)
-    x, levels, mult = _extrema(n)
-    t = np.arccos(c * x)
+    check_open_angle(theta)
+    zeta, levels, mult = _extrema(n)
+    x, y = _pullback(n, theta, zeta)
+    t = np.arctan2(y, x)
     t[0], t[n] = 2.0 * theta, math.pi - 2.0 * theta
     return list(zip(t.tolist(), levels.tolist(), mult.tolist()))
 

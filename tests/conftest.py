@@ -163,6 +163,19 @@ def scaled_joukowski_preimage(w, theta: float) -> tuple[complex, complex]:
     return wc + s, wc - s
 
 
+def circle_pullback(m: int, n: int, theta: float) -> complex:
+    """Upper preimage x + iy on the unit circle of the Chebyshev point zeta = cos(m pi / 2n), by scalars.
+
+    x = cos(2 theta) zeta, and y = sqrt(1 - x^2) as the sum of positive terms
+    hypot(sin a, sin(2 theta) zeta), a = min(m, 2n - m) pi / 2n folded into
+    [0, pi/2] by the integer m. y is libm's hypot, which np.hypot calls on a
+    scalar too; CPython's math.hypot rounds differently in the last bit.
+    """
+    zeta = math.cos(m * math.pi / (2 * n))
+    a = min(m, 2 * n - m) * (math.pi / (2 * n))
+    return complex(math.cos(2.0 * theta) * zeta, float(np.hypot(math.sin(a), math.sin(2.0 * theta) * zeta)))
+
+
 PSD_TOL = 1e-10  # anti-Hermitian part and negative eigenvalue slack in psd_sqrt
 
 

@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tracelaurent import LaurentPoly, canonical_matrix, cli, trace_power_coeffs
@@ -116,10 +117,32 @@ class TestCoeffs:
         assert err == ("error: trace and brute-force coefficient tables disagree "
                        "beyond tolerance 1e-10\n")
 
-    def test_verify_without_theta_exit_2(self, capsys):
-        code, _, err = invoke(capsys, "coeffs", "--n", "2", "--matrix", "1,0;0,1", "--verify")
-        assert code == 2
-        assert "--theta" in err
+    def test_verify_checks_matrix_tables(self, capsys):
+        # Near-parallel columns (dilation 1.38, angle 0.78): the closed form's
+        # rescaled table errs by 5e-8 scaled at n = 64, beyond VERIFY_TOL.
+        rng = np.random.default_rng(3)
+        v, u = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+        near = np.column_stack([v, (0.7 + 0.2j) * v + 1e-2 * u])
+        spec = ";".join(",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) for row in near)
+        code, out, err = invoke(capsys, "coeffs", "--n", "64", "--matrix", spec,
+                                "--method", "closed", "--verify")
+        assert (code, out) == (4, "")
+        assert err == ("error: trace and closed-form coefficient tables disagree "
+                       "beyond tolerance 1e-10\n")
+        for method in ("trace", "closed", "brute"):  # CSV: no `inputs` echo of --verify
+            argv = ["coeffs", "--n", "12", "--matrix", "1+1i,0.7;0.5,0.36", "--method", method,
+                    "--format", "csv"]
+            plain = invoke(capsys, *argv)
+            assert plain[0] == 0
+            assert invoke(capsys, *argv, "--verify") == plain
+
+    @pytest.mark.parametrize("method", ["trace", "closed"])
+    def test_verify_of_zero_column_exit_3(self, capsys, method):
+        # The trace table of a zero column exists; its closed-form check raises.
+        code, out, err = invoke(capsys, "coeffs", "--n", "2", "--matrix", "1,0;1,0",
+                                "--method", method, "--verify")
+        assert (code, out) == (3, "")
+        assert "zero" in err
 
     def test_brute_cap_exit_2(self, capsys):
         code, _, err = invoke(

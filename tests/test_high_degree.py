@@ -13,6 +13,7 @@ t = a z + b/z. Every table of the family has non-negative coefficients, so the
 backward-error scale sum_k |c_k| |z|^k is L(|z|).
 """
 
+import functools
 import math
 
 import mpmath
@@ -23,6 +24,7 @@ from tracelaurent import (
     DomainError,
     canonical_roots,
     cheb_eval,
+    cheb_roots,
     cheb_preimage,
     closed_form_coeffs,
     closed_form_eval,
@@ -161,10 +163,10 @@ def test_overflow_is_named(route, n, theta):
 
 ROOT_DEGREES = (256, 1024)
 OPEN_ANGLES = (1e-3, math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4 - 1e-3)
-# Largest backward errors measured over these inputs, both at n = 1024 and
-# angle 1e-3, where roots near z = +-1 carry argument errors ~eps / sin(arg):
-# 3.1e-12 for the computed roots and 5.6e-12 for a reported residual's
-# distance from the reference |L(z)|. Elsewhere they stay below 3e-16.
+# Largest backward errors measured over these inputs, both at n = 1024: 9.0e-14
+# for the computed roots (angle 1e-3), whose positions are within a few eps
+# (test_zero_set_positions_against_reference), and 7.9e-12 for a reported
+# residual's distance from the reference |L(z)|.
 ROOT_BERR_TOL = 1e-10
 RESIDUAL_BERR_TOL = 1e-10
 VALUE_REL_TOL = 1e-11  # largest measured relative error of the values below: 7.3e-13
@@ -417,10 +419,11 @@ def test_array_evaluation_rejects_any_zero():
 # degree any merging of nearby values would join distinct simple roots.
 LEVEL_DEGREE = 2 * 10 ** 5
 EPS = float(np.finfo(float).eps)
-# Forward error of t = acos(c zeta) in units of eps (t + |cot t|): rounding
-# c zeta moves t by eps |cot t|, and acos itself adds about eps t. Largest
-# measured: 0.74 over the cases below (n = 1024, angle 1e-3), 1.04 over every
-# point of the benchmark's zero-set ops at n <= 1024.
+# Forward error of t = acos(c zeta) in units of eps (t + |cot t|), the
+# condition of acos at a rounded c zeta. The pullback forms t = atan2(y, x)
+# without that rounding and stays within a few eps of t itself
+# (test_zero_set_positions_against_reference); largest measured on this
+# scale: 0.64 over the cases below.
 ARG_ULPS = 2.0
 
 
@@ -498,3 +501,58 @@ def test_circle_roots_and_unit_levels_against_reference(n, theta):
             ref = mpmath.acos(c * mpmath.cos(angle))
             scale = ref + abs(mpmath.cot(ref))
             assert abs(got - ref) <= ARG_ULPS * EPS * scale, (got, angle)
+
+
+# ---- zero-set positions --------------------------------------------------
+
+# Every root, circle root and unit-level point against VALUE_DPS-digit
+# references, at angles down to 1e-12 and degrees up to 10^4, where the points
+# next to +-1 sit only ~pi/2n off the real axis. Imaginary parts and arguments
+# are held to a relative POSITION_ULPS eps each, point by point. The minimum
+# gap is the distance between two rounded roots of modulus 1, so it is held to
+# POSITION_ULPS eps absolute.
+POSITION_ULPS = 4
+
+
+@functools.lru_cache(maxsize=3)
+def chebyshev_cosines(n):
+    """cos(m pi / 2n) for m = 0..2n, in mpmath: the roots at odd m, the extrema at even m."""
+    with mpmath.workdps(VALUE_DPS):
+        return [mpmath.cos(m * mpmath.pi / (2 * n)) for m in range(2 * n + 1)]
+
+
+@functools.lru_cache(maxsize=4)
+def exact_pullback(n, theta, ms):
+    """x = cos(2 theta) cos(m pi / 2n), y = sqrt(1 - x^2) and t = acos x for each m in the range ms, in mpmath."""
+    cosines = chebyshev_cosines(n)
+    with mpmath.workdps(VALUE_DPS):
+        c = mpmath.cos(2 * mpmath.mpf(theta))
+        xs = [c * cosines[m] for m in ms]
+        return xs, [mpmath.sqrt(1 - x * x) for x in xs], [mpmath.acos(x) for x in xs]
+
+
+def relative_ulps(got, refs):
+    """Largest |got - ref| / ref over the pairs, in units of eps."""
+    with mpmath.workdps(VALUE_DPS):
+        return max(float(abs(float(g) - r) / r) for g, r in zip(got, refs)) / EPS
+
+
+@pytest.mark.parametrize("theta", [1e-12, 1e-8, 1e-6, 1e-4, 0.3])
+@pytest.mark.parametrize("n", [7, 1024, 10 ** 4])
+def test_zero_set_positions_against_reference(n, theta):
+    upper_m = range(2 * n - 1, 0, -2)  # the upper roots in report order, real parts ascending
+    for report in (canonical_roots(n, theta), matrix_roots(n, canonical_matrix(theta))):
+        assert report.dilation == 1.0
+        upper = report.roots[0::2]
+        # Real parts stay the plain product cos(2 angle) zeta.
+        assert np.array_equal(upper.real, math.cos(2.0 * report.angle) * cheb_roots(n))
+        x, y, _ = exact_pullback(n, report.angle, upper_m)
+        assert relative_ulps(upper.imag, y) <= POSITION_ULPS
+        with mpmath.workdps(VALUE_DPS):
+            ring = [mpmath.mpc(a, b) for a, b in zip(x, y)]
+            gaps = [abs(q - p) for p, q in zip(ring, ring[1:])] + [2 * y[0], 2 * y[-1]]
+            assert abs(report.min_pairwise_gap - min(gaps)) <= POSITION_ULPS * EPS
+    t = exact_pullback(n, theta, upper_m)[2]
+    assert relative_ulps(trig_roots(n, theta), t[::-1]) <= POSITION_ULPS
+    t = exact_pullback(n, theta, range(0, 2 * n + 1, 2))[2]
+    assert relative_ulps([point for point, _, _ in unit_level_roots(n, theta)], t) <= POSITION_ULPS

