@@ -30,7 +30,8 @@ by_trace = trace_power_coeffs(n, mat)
 # Route 2: enumerate all 2^n products of column projections.
 by_brute = brute_force_coeffs(n, mat)
 
-# Route 3: one DFT of the scaled Chebyshev closed form at the roots of unity.
+# Route 3: the Laurent expansion of 2 c^n T_n((z + 1/z) / 2c), by a recurrence from
+# T_n's differential equation.
 by_closed = closed_form_coeffs(n, theta)
 
 print(f"degree {n}, angle pi/6")

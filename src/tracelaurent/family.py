@@ -139,14 +139,10 @@ def _family_values(n: int, a: float, b: float, c: float, z: np.ndarray) -> np.nd
 
 
 def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
-    """Coefficient table of the canonical family member by one DFT of its values.
+    """Coefficient table of the canonical family member, 2 c^n T_n((z + 1/z) / 2c).
 
-    The values 2 c^n T_n(x), x = cos t / c, c = cos 2 theta, are real and even
-    in t. The Chebyshev kernel samples them at the 2n+1 roots of unity in its
-    sign-aware real form, and one real DFT gives the table. Angle 0,
-    the quarter turn and the edge coefficients 1 are exact; other entries are
-    accurate relative to the largest. Samples beyond double range raise a
-    DomainError naming the degree.
+    Every entry to a small relative error, c = cos 2 theta; angle 0 and the quarter
+    turn are exact. A table beyond double range raises a DomainError naming the degree.
     """
     check_degree(n)
     return LaurentPoly(n, _canonical_coeffs(n, theta, check_angle(theta)))
@@ -154,31 +150,37 @@ def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
 
 def _canonical_coeffs(n: int, theta: float, c: float) -> np.ndarray:
     # closed_form_coeffs' real table for an angle already validated, c = cos 2 theta.
+    # Off the quarter turn, g_k = (1 - k^2/n^2) p_k has third difference (in steps of 2)
+    # h [(k-2)(k-1) p_{k-2} - (k-5)(k-4) p_{k-4}], h = 4 sin^2(2 theta) / n^2, from T_n's
+    # differential equation: three running sums carry it from p_{-n} = 1 to the middle.
     coeffs = np.zeros(2 * n + 1)
     if c < QUARTER_TURN_EPS:
         row = [math.comb(n, j) for j in range(n + 1)]
         if row[n // 2] > sys.float_info.max:
             raise DomainError(f"closed-form coefficients of degree {n} overflow double range")
         coeffs[::2] = row
-    elif theta > 0.0:  # at angle 0 only the edge coefficients are nonzero
-        size = 2 * n + 1
-        x = np.cos(2.0 * np.pi * np.arange(size) / size) / c
-        with np.errstate(over="ignore", invalid="ignore"):
-            half = np.fft.rfft(_scaled_cheb(n, math.log(c), x) / size).real
-        check_double_range(half, "closed-form samples", n)
-        coeffs[:n], coeffs[n:] = half[:0:-1], half
-        coeffs[1::2] = 0.0
-    coeffs[0] = coeffs[-1] = 1.0
+        return coeffs
+    h = 4.0 * math.sin(2.0 * theta) ** 2 / (n * n)
+    half = [0.0, 1.0]  # p_{-n-2}, p_{-n}
+    d2 = d1 = g = 0.0
+    for k in range(2 - n, 1, 2):
+        d2 += h * ((k - 2) * (k - 1)) * half[-1]
+        d2 -= h * ((k - 5) * (k - 4)) * half[-2]
+        d1 += d2
+        g += d1
+        half.append(g / ((n - k) * (n + k) / (n * n)))
+    coeffs[: n + 1 : 2] = half[1:]
+    coeffs[n + 1 :] = coeffs[n - 1 :: -1]
+    check_double_range(coeffs, "closed-form coefficients", n)
     return coeffs
 
 
 def _closed_form_matrix_coeffs(n: int, mat) -> LaurentPoly:
     """Closed-form table of a generic matrix, rescaled from its normal form.
 
-    The canonical table of the matrix's angle is multiplied by
-    scale^n dilation^k, formed as exp(n log scale + k log dilation) so that the
-    two factors cannot overflow apart. A table beyond double range, or wholly
-    below it, raises a DomainError naming the degree.
+    The canonical table of its angle times scale^n dilation^k, formed as
+    exp(n log scale + k log dilation) so that the factors cannot overflow apart.
+    A table beyond double range, or wholly below it, raises a DomainError.
     """
     nf = normal_form(mat)
     base = closed_form_coeffs(n, nf.angle)

@@ -59,11 +59,9 @@ class TrigPoly:
 
 
 def trig_coeffs(n: int, theta: float) -> TrigPoly:
-    """Cosine coefficients of the circle restriction.
+    """Cosine coefficients of the circle restriction: p_k / c^n, c = cos 2 theta, p_0 halved.
 
-    The Laurent coefficients p_k over c^n, c = cos(2 theta), with p_0 halved:
-    the leading one is exactly 1 / c^n, the others are accurate relative to
-    the largest. Parity zeros carry over exactly; a table beyond double
+    Each to a small relative error, parity zeros exact; a table beyond double
     range raises a DomainError.
     """
     check_degree(n)

@@ -117,24 +117,30 @@ class TestCoeffs:
         assert err == ("error: trace and brute-force coefficient tables disagree "
                        "beyond tolerance 1e-10\n")
 
-    def test_verify_checks_matrix_tables(self, capsys):
-        # Near-parallel columns (dilation 1.38, angle 0.78): the closed form's
-        # rescaled table errs by 5e-8 scaled at n = 64, beyond VERIFY_TOL.
+    def test_verify_checks_matrix_tables(self, capsys, monkeypatch):
+        # Near-parallel columns (dilation 1.38, angle 0.78): the DFT closed form's
+        # rescaled table erred by 5e-8 scaled at n = 64; the recurrence agrees.
         rng = np.random.default_rng(3)
         v, u = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
         near = np.column_stack([v, (0.7 + 0.2j) * v + 1e-2 * u])
         spec = ";".join(",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) for row in near)
-        code, out, err = invoke(capsys, "coeffs", "--n", "64", "--matrix", spec,
-                                "--method", "closed", "--verify")
+        argv = ["coeffs", "--n", "64", "--matrix", spec, "--method", "closed", "--format", "csv"]
+        plain = invoke(capsys, *argv)
+        assert plain[0] == 0
+        assert invoke(capsys, *argv, "--verify") == plain
+        for method in ("trace", "closed", "brute"):  # CSV: no `inputs` echo of --verify
+            small = ["coeffs", "--n", "12", "--matrix", "1+1i,0.7;0.5,0.36", "--method", method,
+                     "--format", "csv"]
+            plain = invoke(capsys, *small)
+            assert plain[0] == 0
+            assert invoke(capsys, *small, "--verify") == plain
+        closed = cli._closed_form_matrix_coeffs
+        monkeypatch.setattr(cli, "_closed_form_matrix_coeffs",
+                            lambda n, mat: LaurentPoly(n, closed(n, mat).coeffs * 1.01))
+        code, out, err = invoke(capsys, *argv, "--verify")
         assert (code, out) == (4, "")
         assert err == ("error: trace and closed-form coefficient tables disagree "
                        "beyond tolerance 1e-10\n")
-        for method in ("trace", "closed", "brute"):  # CSV: no `inputs` echo of --verify
-            argv = ["coeffs", "--n", "12", "--matrix", "1+1i,0.7;0.5,0.36", "--method", method,
-                    "--format", "csv"]
-            plain = invoke(capsys, *argv)
-            assert plain[0] == 0
-            assert invoke(capsys, *argv, "--verify") == plain
 
     @pytest.mark.parametrize("method", ["trace", "closed"])
     def test_verify_of_zero_column_exit_3(self, capsys, method):

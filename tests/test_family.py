@@ -178,11 +178,12 @@ class TestClosedForm:
         )
 
     def test_zero_angle_is_pure_pair(self):
-        for n in range(1, 13):
+        for n in (*range(1, 13), 64, 1024):
             p = closed_form_coeffs(n, 0.0)
             expected = np.zeros(2 * n + 1, dtype=complex)
             expected[0] = expected[-1] = 1.0
             assert np.all(p.coeffs == expected)
+            assert not np.any(np.signbit(p.coeffs.view(float)))  # no -0.0 anywhere
 
     def test_quarter_angle_is_binomial_row(self):
         p = closed_form_coeffs(3, math.pi / 4)

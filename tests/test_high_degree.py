@@ -7,6 +7,10 @@ double matrix entries, to 300 bits for cos 2 theta). Its rounding error is
 ~2^-REF_BITS of the largest coefficient, far below the 1e-11 bound. One run
 to the top degree yields the tables of every lower degree on the way.
 
+Entrywise, tables are checked against the sum over words of projection
+products (word_sum_table), whose terms are all positive, so every entry is
+accurate to mpmath's working precision however far below the peak it lies.
+
 Values and root residuals are checked against L(z) = l1^n + l2^n in mpmath,
 where l1, l2 = (t +- sqrt(t^2 - 4d)) / 2 are the eigenvalues of S(z) at
 t = a z + b/z. Every table of the family has non-negative coefficients, so the
@@ -14,6 +18,7 @@ backward-error scale sum_k |c_k| |z|^k is L(|z|).
 """
 
 import functools
+import json
 import math
 
 import mpmath
@@ -26,6 +31,7 @@ from tracelaurent import (
     cheb_eval,
     cheb_roots,
     cheb_preimage,
+    cli,
     closed_form_coeffs,
     closed_form_eval,
     matrix_roots,
@@ -111,7 +117,7 @@ def test_closed_form_against_reference(theta):
     [
         # The table peaks near 6e275; the binomial expansion overflowed here.
         math.pi / 6,
-        # The table peaks near 4.5e306 and the largest sample, L(1), near 1.8e308.
+        # The table peaks near 4.5e306, 5 degrees below its last within double range.
         math.pi / 4 - 1e-3,
     ],
 )
@@ -149,14 +155,104 @@ def test_trace_power_against_reference(index):
         (trig_coeffs, 1024, 0.42),
         (trig_coeffs, 200, math.pi / 4 - 1e-3),
         (closed_form_coeffs, 1100, math.pi / 4),
-        # Every coefficient fits (max ~9e306), but the largest sample,
-        # L(1) ~ 3.6e308, does not: the route's stated limit.
-        (closed_form_coeffs, 1025, math.pi / 4 - 1e-3),
+        # The middle coefficient, ~2.9e308, is the first to leave double range;
+        # at 1029 it is ~1.4e308, and the table fits.
+        (closed_form_coeffs, 1030, math.pi / 4 - 1e-3),
     ],
 )
 def test_overflow_is_named(route, n, theta):
     with pytest.raises(DomainError, match=f"degree {n} overflow"):
         route(n, theta)
+
+
+# ---- entrywise tables ----------------------------------------------------
+
+# Largest entrywise relative errors measured over the inputs below: 1.0e-14 for
+# closed_form_coeffs (1024, pi/6), 3.4e-14 for trig_coeffs (1024, 0.2), and
+# 7.2e-14 for the closed-form CLI table of ENTRY_MATRIX at n = 256.
+ENTRY_REL_TOL = 1e-13
+ENTRY_DPS = 40
+ENTRY_INPUTS = [
+    (1024, math.pi / 6),
+    (512, math.pi / 6),
+    (256, 1e-8),
+    (255, 0.7),
+    (1000, 0.01),
+    (1024, 0.2),
+    (1024, math.pi / 4 - 1e-3),
+    (300, 1e-12),
+]
+ENTRY_MATRIX = "1+1i,0.7;0.5,0.36"
+
+
+def word_sum_table(n, s, a=1, b=1):
+    """Entries at exponents -n, -n+2, ..., n of the pencil with squared column
+    norms a, b and s = |c1* c2|^2 / (a b), in mpmath.
+
+    A word of j factors P1 and n - j factors P2 with 2m cyclic runs has trace
+    a^(j-m) b^(n-j-m) |c1* c2|^(2m), and n/m C(j-1, m-1) C(n-j-1, m-1) words
+    share j and m. So the entry of exponent 2j - n is
+    a^j b^(n-j) n s 2F1(1-j, 1-n+j; 2; s), a sum of positive terms.
+    """
+    inner = [a ** j * b ** (n - j) * n * s * mpmath.hyp2f1(1 - j, 1 - n + j, 2, s) for j in range(1, n)]
+    return [b ** n, *inner, a ** n]
+
+
+def entrywise_error(got, want):
+    with mpmath.workdps(ENTRY_DPS):
+        return max(float(abs(mpmath.mpf(float(g)) / w - 1)) for g, w in zip(got, want, strict=True))
+
+
+def canonical_word_sums(n, theta):
+    with mpmath.workdps(ENTRY_DPS):
+        return word_sum_table(n, mpmath.sin(2 * mpmath.mpf(theta)) ** 2)
+
+
+@pytest.mark.parametrize("n, theta", ENTRY_INPUTS)
+def test_closed_form_entrywise_against_word_sums(n, theta):
+    # The DFT route erred by 2.2e120 at (512, pi/6) and 0.37 at (256, 1e-8).
+    got = closed_form_coeffs(n, theta).coeffs.real
+    assert not np.any(got[1::2])
+    assert entrywise_error(got[::2], canonical_word_sums(n, theta)) <= ENTRY_REL_TOL
+
+
+def test_closed_form_entry_far_below_the_peak():
+    # n sin^2(2 theta) = 768, next to a table peak of ~6e275; the DFT route gave -5.18e261.
+    assert closed_form_coeffs(1024, math.pi / 6)[-1022].real == pytest.approx(768.0, rel=ENTRY_REL_TOL)
+
+
+# ENTRY_INPUTS but (1024, pi/6) and (1024, pi/4 - 1e-3), whose cosine tables exceed double range.
+@pytest.mark.parametrize("n, theta", [(512, math.pi / 6), (256, 1e-8), (255, 0.7), (1000, 0.01),
+                                      (1024, 0.2), (300, 1e-12)])
+def test_trig_coeffs_entrywise_against_word_sums(n, theta):
+    # The cosine coefficients of exponents n, n-2, ... (k = 0 halved) over c^n.
+    got = trig_coeffs(n, theta).cos_coeffs
+    assert not np.any(got[n - 1 :: -2])
+    with mpmath.workdps(ENTRY_DPS):
+        c_pow = mpmath.cos(2 * mpmath.mpf(theta)) ** n
+        want = [v / c_pow for v in canonical_word_sums(n, theta)[(n + 1) // 2 :]]
+        if n % 2 == 0:
+            want[0] /= 2
+    assert entrywise_error(got[n % 2 :: 2], want) <= ENTRY_REL_TOL
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_closed_form_matrix_table_entrywise(capsys, n):
+    # The DFT table, rescaled by dilation^k, erred by 3.5e-4 of the peak at n = 64
+    # and 7.9e33 at n = 256 against the trace table.
+    assert cli.run(["coeffs", "--n", str(n), "--matrix", ENTRY_MATRIX, "--method", "closed"]) == 0
+    rows = json.loads(capsys.readouterr().out)["data"]["coefficients"]
+    got = np.array([row["re"] for row in rows])
+    assert [row["k"] for row in rows] == list(range(-n, n + 1))
+    assert not np.any(got[1::2]) and not any(row["im"] for row in rows)
+    m = np.array([[1 + 1j, 0.7], [0.5, 0.36]])
+    with mpmath.workdps(ENTRY_DPS):
+        (p, r), (q, t) = [[mpmath.mpc(complex(v)) for v in col] for col in m.T]
+        a, b = abs(p) ** 2 + abs(r) ** 2, abs(q) ** 2 + abs(t) ** 2
+        s = abs(mpmath.conj(p) * q + mpmath.conj(r) * t) ** 2 / (a * b)
+        want = word_sum_table(n, s, a, b)
+    assert entrywise_error(got[::2], want) <= ENTRY_REL_TOL
+    assert scaled_error(got, trace_power_coeffs(n, m).coeffs.real) <= ENTRY_REL_TOL
 
 
 # ---- values and zero sets ------------------------------------------------
