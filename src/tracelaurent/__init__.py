@@ -8,60 +8,18 @@ unit-circle arcs, and exposes the circle restriction as cosine polynomials
 together with the associated comb map.
 """
 
-from .core import DomainError, LaurentPoly, as_matrix, laurent_close
-from .chebyshev import cheb_eval, cheb_preimage, cheb_roots
-from .normal_form import NormalForm, canonical_matrix, normal_form
-from .family import (
-    DegreeCapError,
-    brute_force_coeffs,
-    closed_form_coeffs,
-    closed_form_eval,
-    trace_power_coeffs,
-)
-from .roots import (
-    RootReport,
-    arc_membership,
-    canonical_roots,
-    matrix_roots,
-)
-from .trig import (
-    IntervalSystem,
-    TrigPoly,
-    comb_height,
-    comb_map,
-    trig_coeffs,
-    trig_roots,
-    unit_level_roots,
-)
+from . import chebyshev, core, family, roots, trig
+from . import normal_form as _normal_form  # bound before `normal_form` names the function
+from .core import *
+from .chebyshev import *
+from .normal_form import *
+from .family import *
+from .roots import *
+from .trig import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegreeCapError",
-    "DomainError",
-    "IntervalSystem",
-    "LaurentPoly",
-    "NormalForm",
-    "RootReport",
-    "TrigPoly",
-    "arc_membership",
-    "as_matrix",
-    "brute_force_coeffs",
-    "canonical_matrix",
-    "canonical_roots",
-    "cheb_eval",
-    "cheb_preimage",
-    "cheb_roots",
-    "closed_form_coeffs",
-    "closed_form_eval",
-    "comb_height",
-    "comb_map",
-    "laurent_close",
-    "matrix_roots",
-    "normal_form",
-    "trace_power_coeffs",
-    "trig_coeffs",
-    "trig_roots",
-    "unit_level_roots",
+    *(name for module in (core, chebyshev, _normal_form, family, roots, trig) for name in module.__all__),
     "__version__",
 ]

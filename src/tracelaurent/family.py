@@ -26,7 +26,7 @@ from .chebyshev import _scaled_cheb
 from .chebyshev import cheb_eval  # noqa: F401
 from .core import QUARTER_TURN_EPS
 from .core import DomainError, LaurentPoly, as_matrix, check_angle, check_degree, check_double_range, check_points
-from .normal_form import _columns, normal_form
+from .normal_form import _columns, _reduce
 
 __all__ = [
     "DegreeCapError",
@@ -145,13 +145,13 @@ def closed_form_coeffs(n: int, theta: float) -> LaurentPoly:
     turn are exact. A table beyond double range raises a DomainError naming the degree.
     """
     check_degree(n)
-    return LaurentPoly(n, _canonical_coeffs(n, theta, check_angle(theta)))
+    return LaurentPoly(n, _canonical_coeffs(n, check_angle(theta), math.sin(2.0 * theta)))
 
 
-def _canonical_coeffs(n: int, theta: float, c: float) -> np.ndarray:
-    # closed_form_coeffs' real table for an angle already validated, c = cos 2 theta.
+def _canonical_coeffs(n: int, c: float, s: float) -> np.ndarray:
+    # closed_form_coeffs' real table for c = cos 2 theta and s = sin 2 theta already formed.
     # Off the quarter turn, g_k = (1 - k^2/n^2) p_k has third difference (in steps of 2)
-    # h [(k-2)(k-1) p_{k-2} - (k-5)(k-4) p_{k-4}], h = 4 sin^2(2 theta) / n^2, from T_n's
+    # h [(k-2)(k-1) p_{k-2} - (k-5)(k-4) p_{k-4}], h = 4 s^2 / n^2, from T_n's
     # differential equation: three running sums carry it from p_{-n} = 1 to the middle.
     coeffs = np.zeros(2 * n + 1)
     if c < QUARTER_TURN_EPS:
@@ -160,7 +160,7 @@ def _canonical_coeffs(n: int, theta: float, c: float) -> np.ndarray:
             raise DomainError(f"closed-form coefficients of degree {n} overflow double range")
         coeffs[::2] = row
         return coeffs
-    h = 4.0 * math.sin(2.0 * theta) ** 2 / (n * n)
+    h = 4.0 * s ** 2 / (n * n)
     half = [0.0, 1.0]  # p_{-n-2}, p_{-n}
     d2 = d1 = g = 0.0
     for k in range(2 - n, 1, 2):
@@ -176,16 +176,23 @@ def _canonical_coeffs(n: int, theta: float, c: float) -> np.ndarray:
 
 
 def _closed_form_matrix_coeffs(n: int, mat) -> LaurentPoly:
-    """Closed-form table of a generic matrix, rescaled from its normal form.
+    """Closed-form table of a generic matrix, from its one column read.
 
-    The canonical table of its angle times scale^n dilation^k, formed as
-    exp(n log scale + k log dilation) so that the factors cannot overflow apart.
+    The canonical table at the matrix's own c = |det M| / (|c1| |c2|) and
+    s = |<c1, c2>| / (|c1| |c2|), with entry 2j - n times a^j b^(n-j),
+    a = |c1|^2 = a' 4^e1 and b = |c2|^2 = b' 4^e2. The mantissa powers are
+    2^x, x = j log2 a' + (n - j) log2 b'; the entry takes 2^(x - ceil x) <= 1,
+    and ceil x with the column exponents is applied last and exactly, by ldexp.
     A table beyond double range, or wholly below it, raises a DomainError.
     """
-    nf = normal_form(mat)
-    base = closed_form_coeffs(n, nf.angle)
-    with np.errstate(over="ignore", invalid="ignore"):
-        logs = n * math.log(nf.scale) + np.arange(-n, n + 1) * math.log(nf.dilation)
-        coeffs = base.coeffs * np.exp(logs)
+    _, (a, b, det, overlap, e1, e2) = _reduce(mat)
+    check_degree(n)
+    root = math.sqrt(a * b)
+    base = _canonical_coeffs(n, det / root, abs(overlap) / root)
+    i = np.arange(2 * n + 1)  # entry 2j - n sits at i = 2j
+    x = 0.5 * (i * math.log2(a) + (2 * n - i) * math.log2(b))
+    top = np.ceil(x)
+    with np.errstate(over="ignore"):
+        coeffs = np.ldexp(base * np.exp2(x - top), top.astype(np.int64) + e1 * i + e2 * (2 * n - i))
     check_double_range(coeffs, "closed-form coefficients", n, nonzero=True)
     return LaurentPoly(n, coeffs)

@@ -1,5 +1,6 @@
 """Container layer: construction, indexing, split-Horner evaluation, comparison."""
 
+import importlib
 import math
 
 import numpy as np
@@ -10,6 +11,18 @@ import tracelaurent as tl
 from tracelaurent import DomainError, LaurentPoly, as_matrix, laurent_close
 from tracelaurent.core import QUARTER_TURN_EPS, check_angle, check_open_angle
 from conftest import random_unit_column_matrix, split_horner_loops
+
+
+def test_public_names_are_the_modules_all():
+    # The package lists no name of its own: its __all__ is each module's __all__ in
+    # module order, then __version__, and each name is its module's own object.
+    order = ("core", "chebyshev", "normal_form", "family", "roots", "trig")
+    modules = [importlib.import_module(f"tracelaurent.{name}") for name in order]
+    assert tl.__all__ == [*(name for module in modules for name in module.__all__), "__version__"]
+    assert len(set(tl.__all__)) == len(tl.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(tl, name) is getattr(module, name), name
 
 
 def half_sum():

@@ -24,6 +24,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tracelaurent import (
     DomainError,
@@ -40,13 +41,14 @@ from tracelaurent import (
     trig_roots,
     unit_level_roots,
 )
-from tracelaurent.family import _family_values
+from tracelaurent.family import _closed_form_matrix_coeffs, _family_values
 from tracelaurent.normal_form import canonical_matrix, normal_form
-from conftest import GRID6, circle_restriction, plain_pencil
+from conftest import DERANDOMIZED, GRID6, circle_restriction, column_scale_exponents, plain_pencil
 
 DEGREES = (64, 256, 512)
 REF_BITS = 160
 SCALED_TOL = 1e-11
+EPS = float(np.finfo(float).eps)
 
 
 def reference_tables(a, b, d, degrees):
@@ -169,7 +171,8 @@ def test_overflow_is_named(route, n, theta):
 
 # Largest entrywise relative errors measured over the inputs below: 1.0e-14 for
 # closed_form_coeffs (1024, pi/6), 3.4e-14 for trig_coeffs (1024, 0.2), and
-# 7.2e-14 for the closed-form CLI table of ENTRY_MATRIX at n = 256.
+# 5.7e-14 for the closed-form CLI table of ENTRY_MATRIX at n = 256, 5.1e-14 of
+# it from the rounding of |c1|^2 and |c2|^2 before their n-th powers.
 ENTRY_REL_TOL = 1e-13
 ENTRY_DPS = 40
 ENTRY_INPUTS = [
@@ -182,7 +185,7 @@ ENTRY_INPUTS = [
     (1024, math.pi / 4 - 1e-3),
     (300, 1e-12),
 ]
-ENTRY_MATRIX = "1+1i,0.7;0.5,0.36"
+ENTRY_MATRIX = np.array([[1 + 1j, 0.7], [0.5, 0.36]])
 
 
 def word_sum_table(n, s, a=1, b=1):
@@ -236,23 +239,53 @@ def test_trig_coeffs_entrywise_against_word_sums(n, theta):
     assert entrywise_error(got[n % 2 :: 2], want) <= ENTRY_REL_TOL
 
 
-@pytest.mark.parametrize("n", [64, 256])
-def test_closed_form_matrix_table_entrywise(capsys, n):
+def matrix_spec(m):
+    """The CLI --matrix spec of m, every entry to 17 digits, so it parses back to m."""
+    return ";".join(",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) for row in m)
+
+
+# The columns times 2^30 and 2^-30 at n = 8 are held to 8 n eps: the rescale
+# exp(n log scale + k log dilation) erred by 2.5e-14 there.
+@pytest.mark.parametrize("n, exponents, tol", [(64, (0, 0), ENTRY_REL_TOL), (256, (0, 0), ENTRY_REL_TOL),
+                                               (8, (30, -30), 8 * 8 * EPS)],
+                         ids=["64", "256", "8-columns-scaled"])
+def test_closed_form_matrix_table_entrywise(capsys, n, exponents, tol):
     # The DFT table, rescaled by dilation^k, erred by 3.5e-4 of the peak at n = 64
     # and 7.9e33 at n = 256 against the trace table.
-    assert cli.run(["coeffs", "--n", str(n), "--matrix", ENTRY_MATRIX, "--method", "closed"]) == 0
+    m = ENTRY_MATRIX * np.ldexp(1.0, exponents)
+    assert cli.run(["coeffs", "--n", str(n), "--matrix", matrix_spec(m), "--method", "closed"]) == 0
     rows = json.loads(capsys.readouterr().out)["data"]["coefficients"]
     got = np.array([row["re"] for row in rows])
     assert [row["k"] for row in rows] == list(range(-n, n + 1))
     assert not np.any(got[1::2]) and not any(row["im"] for row in rows)
-    m = np.array([[1 + 1j, 0.7], [0.5, 0.36]])
     with mpmath.workdps(ENTRY_DPS):
         (p, r), (q, t) = [[mpmath.mpc(complex(v)) for v in col] for col in m.T]
         a, b = abs(p) ** 2 + abs(r) ** 2, abs(q) ** 2 + abs(t) ** 2
         s = abs(mpmath.conj(p) * q + mpmath.conj(r) * t) ** 2 / (a * b)
         want = word_sum_table(n, s, a, b)
-    assert entrywise_error(got[::2], want) <= ENTRY_REL_TOL
-    assert scaled_error(got, trace_power_coeffs(n, m).coeffs.real) <= ENTRY_REL_TOL
+    assert entrywise_error(got[::2], want) <= tol
+    assert scaled_error(got, trace_power_coeffs(n, m).coeffs.real) <= tol
+
+
+@DERANDOMIZED
+@given(column_scale_exponents(), st.sampled_from((4, 16)))
+def test_closed_form_matrix_table_under_power_of_two_column_scales(exponents, n):
+    # Scaling the columns by 2^p and 2^q is exact, so entry k of the table must scale
+    # by exactly 2^(p(n+k) + q(n-k)) wherever both tables are normal doubles, as the
+    # roots of matrix_roots do. The exp(n log scale + k log dilation) rescale missed it
+    # in the last bits. Where every entry fits, the scaled table must not raise.
+    p, q = exponents
+    k = np.arange(-n, n + 1)
+    with np.errstate(over="ignore"):
+        want = np.ldexp(_closed_form_matrix_coeffs(n, ENTRY_MATRIX).coeffs.real, p * (n + k) + q * (n - k))
+    normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
+    try:
+        got = _closed_form_matrix_coeffs(n, ENTRY_MATRIX * np.ldexp(1.0, exponents)).coeffs.real
+    except DomainError:
+        assert not normal[::2].all(), (p, q)
+        return
+    assert np.array_equal(got[normal], want[normal]), (p, q)
+    assert not np.any(got[1::2])
 
 
 # ---- values and zero sets ------------------------------------------------
@@ -514,7 +547,6 @@ def test_array_evaluation_rejects_any_zero():
 # Adjacent preimages of a level near +-1 sit ~(pi/n)^2 apart, so at this
 # degree any merging of nearby values would join distinct simple roots.
 LEVEL_DEGREE = 2 * 10 ** 5
-EPS = float(np.finfo(float).eps)
 # Forward error of t = acos(c zeta) in units of eps (t + |cot t|), the
 # condition of acos at a rounded c zeta. The pullback forms t = atan2(y, x)
 # without that rounding and stays within a few eps of t itself
