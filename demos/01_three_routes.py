@@ -24,7 +24,7 @@ theta = math.pi / 6
 mat = canonical_matrix(theta)
 n = 4
 
-# Route 1: the Cayley-Hamilton recurrence for the power sums tr(S^k).
+# Route 1: the trace of T(z)^n, the non-negative transfer matrix of the projection words.
 by_trace = trace_power_coeffs(n, mat)
 
 # Route 2: enumerate all 2^n products of column projections.

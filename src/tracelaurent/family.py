@@ -5,7 +5,7 @@ P1 = c1 c1* and P2 = c2 c2* are the rank-one column projections. The family
 member of degree n is the trace of S(z)^n, a Laurent polynomial with exponent
 range -n..n. This module computes it by
 
-  trace_power_coeffs   the Cayley-Hamilton recurrence for tr(S^k) (production),
+  trace_power_coeffs   powers of a non-negative transfer matrix (production),
   brute_force_coeffs   full enumeration of the 2^n projection products,
   closed_form_*        scaled Chebyshev closed form for canonical matrices.
 
@@ -44,30 +44,30 @@ class DegreeCapError(RuntimeError):
 
 
 def trace_power_coeffs(n: int, mat) -> LaurentPoly:
-    """Coefficients of tr(S(z)^n) by the Cayley-Hamilton recurrence.
+    """Coefficients of tr(S(z)^n) as the trace of T(z)^n, T(z) = [[a z, g z], [g / z, b / z]].
 
-    With a = |c1|^2, b = |c2|^2 and d = |det M|^2 = det S, the power sums
-    obey p_k = (a z + b / z) p_{k-1} - d p_{k-2}, p_0 = 2: two shifted real
-    axpys per step, off-parity slots staying exact zeros. A table beyond
-    double range, or a table of a nonzero matrix wholly below it, raises a
-    DomainError naming the degree.
+    A projection word's trace is a^i b^j g^2k, a = |c1|^2, b = |c2|^2, g = |<c1, c2>|. T is
+    powered by squaring with direct convolutions: every entry is a sum of non-negative terms,
+    with a small relative error, and off-parity slots stay exact zeros. A table beyond double
+    range, or one of a nonzero matrix wholly below it, raises a DomainError naming the degree.
     """
+    def times(x, y):  # the product of two 2x2 matrices of dense Laurent rows, centred on their middle slots
+        return np.array([[np.convolve(x[i, 0], y[0, j]) + np.convolve(x[i, 1], y[1, j]) for j in (0, 1)]
+                         for i in (0, 1)])
+
     check_degree(n)
     m = as_matrix(mat)
-    a, b, c, _, e1, e2 = _columns(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c = np.ldexp([a, b, c], [2 * e1, 2 * e2, e1 + e2])
-        d = c ** 2
-        prev, cur = np.zeros((2, 2 * n + 1))
-        prev[n] = 2.0
-        cur[n - 1], cur[n + 1] = b, a
-        for _ in range(n - 1):
-            prev *= -d
-            prev[1:] += a * cur[:-1]
-            prev[:-1] += b * cur[1:]
-            prev, cur = cur, prev
-    check_double_range(cur, "trace-power coefficients", n, nonzero=m.any())
-    return LaurentPoly(n, cur)
+    a, b, _, g, e1, e2 = _columns(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # the unused off-diagonal rows may overflow
+        a, b, g = np.ldexp([a, b, abs(g)], [2 * e1, 2 * e2, e1 + e2])
+        step = power = np.array([[[0.0, 0.0, a], [0.0, 0.0, g]], [[g, 0.0, 0.0], [b, 0.0, 0.0]]])
+        for bit in bin(n)[3:]:
+            power = times(power, power)
+            if bit == "1":
+                power = times(power, step)
+        table = power[0, 0] + power[1, 1]
+    check_double_range(table, "trace-power coefficients", n, nonzero=m.any())
+    return LaurentPoly(n, table)
 
 
 def brute_force_coeffs(n: int, mat) -> LaurentPoly:

@@ -119,7 +119,7 @@ class TestCoeffs:
 
     def test_verify_checks_matrix_tables(self, capsys, monkeypatch):
         # Near-parallel columns (dilation 1.38, angle 0.78): the DFT closed form's
-        # rescaled table erred by 5e-8 scaled at n = 64; the recurrence agrees.
+        # rescaled table erred by 5e-8 scaled at n = 64; the trace table agrees.
         rng = np.random.default_rng(3)
         v, u = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
         near = np.column_stack([v, (0.7 + 0.2j) * v + 1e-2 * u])
@@ -141,6 +141,17 @@ class TestCoeffs:
         assert (code, out) == (4, "")
         assert err == ("error: trace and closed-form coefficient tables disagree "
                        "beyond tolerance 1e-10\n")
+
+    def test_verify_passes_where_the_recurrence_cancelled(self, capsys):
+        # n sin 2 theta ~ 8: the Cayley-Hamilton table erred by 1.9e-10 of its peak
+        # against the closed form here, and --verify exited 4.
+        argv = ["coeffs", "--n", "4096", "--theta", "0.001"]
+        code, _, err = invoke(capsys, *argv, "--verify")
+        assert (code, err) == (0, "")
+        argv += ["--format", "csv"]  # CSV: no `inputs` echo of --verify
+        plain = invoke(capsys, *argv)
+        assert plain[0] == 0
+        assert invoke(capsys, *argv, "--verify") == plain
 
     @pytest.mark.parametrize("method", ["trace", "closed"])
     def test_verify_of_zero_column_exit_3(self, capsys, method):

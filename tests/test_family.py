@@ -93,7 +93,7 @@ class TestTraceRoute:
     def test_underflow_names_degree(self, n, mat):
         # The true table's largest entry is ~|entry|^(2n): wholly below double
         # range. It used to come back as an all-zero table; at 1e-170 the
-        # squares inside the recurrence underflow already, and one nonzero
+        # squares inside the trace route underflow already, and one nonzero
         # column is enough.
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,7 +1,8 @@
 """High-degree tables, values and zero sets against extended-precision references.
 
-The table reference runs the power-sum recurrence p_k = (a z + b/z) p_{k-1} - d p_{k-2}
-on Python integers in fixed point with REF_BITS fraction bits, starting from
+The table reference runs the Cayley-Hamilton recurrence for the power sums,
+p_k = (a z + b/z) p_{k-1} - d p_{k-2}, which no package route uses, on Python
+integers in fixed point with REF_BITS fraction bits, starting from
 a = |c1|^2, b = |c2|^2 and d = |det M|^2 evaluated in mpmath (exactly for
 double matrix entries, to 300 bits for cos 2 theta). Its rounding error is
 ~2^-REF_BITS of the largest coefficient, far below the 1e-11 bound. One run
@@ -42,7 +43,7 @@ from tracelaurent import (
     unit_level_roots,
 )
 from tracelaurent.family import _closed_form_matrix_coeffs, _family_values
-from tracelaurent.normal_form import canonical_matrix, normal_form
+from tracelaurent.normal_form import _columns, canonical_matrix, normal_form
 from conftest import DERANDOMIZED, GRID6, circle_restriction, column_scale_exponents, plain_pencil
 
 DEGREES = (64, 256, 512)
@@ -239,6 +240,40 @@ def test_trig_coeffs_entrywise_against_word_sums(n, theta):
     assert entrywise_error(got[n % 2 :: 2], want) <= ENTRY_REL_TOL
 
 
+def matrix_word_sums(n, m):
+    """word_sum_table of the pencil of a matrix's own double entries, in mpmath."""
+    with mpmath.workdps(ENTRY_DPS):
+        (p, r), (q, t) = [[mpmath.mpc(complex(v)) for v in col] for col in m.T]
+        a, b = abs(p) ** 2 + abs(r) ** 2, abs(q) ** 2 + abs(t) ** 2
+        s = abs(mpmath.conj(p) * q + mpmath.conj(r) * t) ** 2 / (a * b)
+        return word_sum_table(n, s, a, b)
+
+
+@pytest.mark.parametrize("n, theta", ENTRY_INPUTS)
+def test_trace_power_entrywise_against_word_sums(n, theta):
+    # The Cayley-Hamilton recurrence subtracted d p_{k-2}, d ~ ab at small angles: it
+    # erred by 0.445 at (256, 1e-8) and lost every digit at (300, 1e-12).
+    m = canonical_matrix(theta)
+    got = trace_power_coeffs(n, m).coeffs.real
+    assert not np.any(got[1::2])
+    assert entrywise_error(got[::2], matrix_word_sums(n, m)) <= ENTRY_REL_TOL
+
+
+@pytest.mark.parametrize("n, theta", [(2048, 0.002), (4096, 0.001)])
+def test_trace_power_entrywise_at_high_degree(n, theta):
+    # n sin 2 theta ~ 8, where the recurrence erred by 5.6e-11 and 1.9e-10 of the peak.
+    # The reference sums the words of _columns' own rounded a', b', |g'| and exponents:
+    # the rounding of a' = cos^2 + sin^2, raised to the n-th power, can add up to n eps / 2.
+    m = canonical_matrix(theta)
+    got = trace_power_coeffs(n, m).coeffs.real
+    assert not np.any(got[1::2])
+    a, b, _, g, e1, e2 = _columns(m)
+    with mpmath.workdps(ENTRY_DPS):
+        a, b, g = mpmath.ldexp(a, 2 * e1), mpmath.ldexp(b, 2 * e2), mpmath.ldexp(abs(g), e1 + e2)
+        want = word_sum_table(n, g ** 2 / (a * b), a, b)
+    assert entrywise_error(got[::2], want) <= ENTRY_REL_TOL
+
+
 def matrix_spec(m):
     """The CLI --matrix spec of m, every entry to 17 digits, so it parses back to m."""
     return ";".join(",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) for row in m)
@@ -251,20 +286,20 @@ def matrix_spec(m):
                          ids=["64", "256", "8-columns-scaled"])
 def test_closed_form_matrix_table_entrywise(capsys, n, exponents, tol):
     # The DFT table, rescaled by dilation^k, erred by 3.5e-4 of the peak at n = 64
-    # and 7.9e33 at n = 256 against the trace table.
+    # and 7.9e33 at n = 256 against the trace table; the trace table is held to the
+    # same bound, as the second route of the CLI.
     m = ENTRY_MATRIX * np.ldexp(1.0, exponents)
-    assert cli.run(["coeffs", "--n", str(n), "--matrix", matrix_spec(m), "--method", "closed"]) == 0
-    rows = json.loads(capsys.readouterr().out)["data"]["coefficients"]
-    got = np.array([row["re"] for row in rows])
-    assert [row["k"] for row in rows] == list(range(-n, n + 1))
-    assert not np.any(got[1::2]) and not any(row["im"] for row in rows)
-    with mpmath.workdps(ENTRY_DPS):
-        (p, r), (q, t) = [[mpmath.mpc(complex(v)) for v in col] for col in m.T]
-        a, b = abs(p) ** 2 + abs(r) ** 2, abs(q) ** 2 + abs(t) ** 2
-        s = abs(mpmath.conj(p) * q + mpmath.conj(r) * t) ** 2 / (a * b)
-        want = word_sum_table(n, s, a, b)
-    assert entrywise_error(got[::2], want) <= tol
-    assert scaled_error(got, trace_power_coeffs(n, m).coeffs.real) <= tol
+    want = matrix_word_sums(n, m)
+    tables = []
+    for method in ("closed", "trace"):
+        assert cli.run(["coeffs", "--n", str(n), "--matrix", matrix_spec(m), "--method", method]) == 0
+        rows = json.loads(capsys.readouterr().out)["data"]["coefficients"]
+        got = np.array([row["re"] for row in rows])
+        assert [row["k"] for row in rows] == list(range(-n, n + 1))
+        assert not np.any(got[1::2]) and not any(row["im"] for row in rows)
+        assert entrywise_error(got[::2], want) <= tol, method
+        tables.append(got)
+    assert scaled_error(*tables) <= tol
 
 
 @DERANDOMIZED
@@ -274,18 +309,24 @@ def test_closed_form_matrix_table_under_power_of_two_column_scales(exponents, n)
     # by exactly 2^(p(n+k) + q(n-k)) wherever both tables are normal doubles, as the
     # roots of matrix_roots do. The exp(n log scale + k log dilation) rescale missed it
     # in the last bits. Where every entry fits, the scaled table must not raise.
+    # The trace route powers the scaled pencil itself, whose partial products can leave
+    # double range where only part of the table fits (README, Notes on numerics), so it
+    # is held to this where the whole scaled table is normal.
     p, q = exponents
     k = np.arange(-n, n + 1)
-    with np.errstate(over="ignore"):
-        want = np.ldexp(_closed_form_matrix_coeffs(n, ENTRY_MATRIX).coeffs.real, p * (n + k) + q * (n - k))
-    normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
-    try:
-        got = _closed_form_matrix_coeffs(n, ENTRY_MATRIX * np.ldexp(1.0, exponents)).coeffs.real
-    except DomainError:
-        assert not normal[::2].all(), (p, q)
-        return
-    assert np.array_equal(got[normal], want[normal]), (p, q)
-    assert not np.any(got[1::2])
+    for route in (_closed_form_matrix_coeffs, trace_power_coeffs):
+        with np.errstate(over="ignore"):
+            want = np.ldexp(route(n, ENTRY_MATRIX).coeffs.real, p * (n + k) + q * (n - k))
+        normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
+        if route is trace_power_coeffs and not normal[::2].all():
+            continue
+        try:
+            got = route(n, ENTRY_MATRIX * np.ldexp(1.0, exponents)).coeffs.real
+        except DomainError:
+            assert not normal[::2].all(), (route.__name__, p, q)
+            continue
+        assert np.array_equal(got[normal], want[normal]), (route.__name__, p, q)
+        assert not np.any(got[1::2])
 
 
 # ---- values and zero sets ------------------------------------------------

@@ -8,9 +8,9 @@ tolerance that no code reads, on an imported name that its module, test
 file or demo never reads, on a private function that the package itself
 never reads, on a public function, class or method that neither the package
 nor a demo reads, on a Chebyshev log form outside `chebyshev`, on a matrix
-determinant outside `normal_form`, on a numpy call in the scalar hot path
-`trig.comb_map`, and on a read-only array or an array test for zero
-evaluation points built outside `core`.
+determinant outside `normal_form`, on a subtraction in the trace route, on
+a numpy call in the scalar hot path `trig.comb_map`, and on a read-only array
+or an array test for zero evaluation points built outside `core`.
 """
 
 import ast
@@ -238,6 +238,19 @@ def test_matrix_determinant_only_in_normal_form():
     assert not [path.name for path in _modules() if "vdot" in path.read_text()], "overlaps come from _columns"
     family = ast.parse((PACKAGE / "family.py").read_text())
     assert _column_products(family), "the guard sees no projection product in the oracle"
+
+
+def test_trace_route_never_subtracts():
+    # Every coefficient of the transfer matrix's powers is a sum of non-negative
+    # terms, so each keeps a small relative error; the Cayley-Hamilton step
+    # p_k = (a z + b/z) p_{k-1} - d p_{k-2} cancelled where d ~ ab.
+    tree = ast.parse((PACKAGE / "family.py").read_text())
+    (route,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "trace_power_coeffs"]
+    offenders = [node.lineno for node in ast.walk(route) if isinstance(node, (ast.BinOp, ast.AugAssign, ast.UnaryOp))
+                 and isinstance(node.op, (ast.Sub, ast.USub))]
+    assert not offenders, f"the trace route subtracts at family.py lines {offenders}"
+    helpers = [node.name for node in ast.walk(route) if isinstance(node, ast.FunctionDef) and node is not route]
+    assert helpers, "the guard sees no product helper in the trace route"
 
 
 def test_comb_map_stays_off_numpy():
