@@ -25,8 +25,8 @@ for theta in (0.0, math.pi / 16, math.pi / 8, 3 * math.pi / 16):
     print("  upper-arc arguments:", np.round(upper, 4))
     print("  residual max:", report.residuals.max(),
           " min root gap:", round(report.min_pairwise_gap, 4))
-    labels = {arc_membership(z, theta) for z in report.roots}
-    print("  classifications:", sorted(labels))
+    labels = arc_membership(report.roots, theta)
+    print("  classifications:", sorted(set(labels.tolist())))
 
 # As theta grows toward pi/4 the two arcs shrink around +-i and the roots
 # crowd together; at pi/4 itself they would all collapse onto +-i, so the

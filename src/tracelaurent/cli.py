@@ -161,13 +161,10 @@ def _cmd_roots(args):
         report = canonical_roots(args.n, args.theta)
     else:
         report = matrix_roots(args.n, args.matrix)
-    # Arc classification is defined on the unit circle; scaled roots are
-    # classified through their canonical counterparts.
-    records = [
-        (float(z.real), float(z.imag), float(res),
-         arc_membership(complex(z) * report.dilation, report.angle))
-        for z, res in zip(report.roots, report.residuals)
-    ]
+    # Arcs lie on the unit circle: each root is classified by its canonical counterpart.
+    labels = arc_membership(report.roots * report.dilation, report.angle).tolist()
+    records = [(float(z.real), float(z.imag), float(res), label)
+               for z, res, label in zip(report.roots, report.residuals, labels)]
     data = {"roots": _entries("roots", records), "min_pairwise_gap": float(report.min_pairwise_gap)}
     return data, records
 

@@ -15,13 +15,12 @@ so the minimum gap is read off neighbours in O(n), without a sort.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BOUNDARY_TOL, QUARTER_TURN_EPS, DomainError, _frozen, check_degree, check_finite, check_open_angle
+from .core import BOUNDARY_TOL, QUARTER_TURN_EPS, DomainError, _frozen, check_degree, check_open_angle, check_points
 from .chebyshev import cheb_roots
 from .family import _family_values
 # closed_form_eval is not called here; the name stays bound because the
@@ -37,29 +36,25 @@ __all__ = [
 ]
 
 
-def arc_membership(z, theta: float) -> str:
-    """Classify a point against the two open localization arcs.
+def arc_membership(z, theta: float):
+    """Classify points, in one pass, against the two open localization arcs.
 
-    Returns one of "open_plus", "open_minus", "boundary", "outside". Points
-    off the unit circle beyond 1e-10 are outside; on-circle points within
-    1e-10 of an arc endpoint are boundary; any other point whose principal
-    argument's modulus lies in (2 theta, pi - 2 theta) is on an open arc,
-    picked by the argument's sign; the rest are outside.
+    Returns "open_plus", "open_minus", "boundary" or "outside": a str for a
+    scalar z, a string array of z's shape for an array. Points off the unit
+    circle beyond 1e-10 are outside; on-circle points within 1e-10 of an arc
+    endpoint are boundary; any other point whose principal argument's modulus
+    lies in (2 theta, pi - 2 theta) is on an open arc, picked by the argument's
+    sign; the rest are outside. Every point must be finite and nonzero.
     """
     check_open_angle(theta)
-    z = complex(z)
-    check_finite(z, "point z")
-    if z == 0:
-        raise DomainError("classification requires z != 0")
-    if abs(abs(z) - 1.0) > BOUNDARY_TOL:
-        return "outside"
-    a = cmath.phase(z)
-    r, lo, hi = abs(a), 2.0 * theta, math.pi - 2.0 * theta
-    if abs(r - lo) <= BOUNDARY_TOL or abs(r - hi) <= BOUNDARY_TOL:
-        return "boundary"
-    if lo < r < hi:
-        return "open_plus" if a > 0.0 else "open_minus"
-    return "outside"
+    points, shape = check_points(z)
+    a = np.angle(points)
+    r, lo, hi = np.abs(a), 2.0 * theta, math.pi - 2.0 * theta
+    # Later labels win: an open arc by the argument's sign, then boundary, then off-circle.
+    labels = np.where((lo < r) & (r < hi), np.where(a > 0.0, "open_plus", "open_minus"), "outside")
+    labels[(np.abs(r - lo) <= BOUNDARY_TOL) | (np.abs(r - hi) <= BOUNDARY_TOL)] = "boundary"
+    labels[np.abs(np.abs(points) - 1.0) > BOUNDARY_TOL] = "outside"
+    return str(labels[0]) if shape == () else labels.reshape(shape)
 
 
 def _min_gap(roots: np.ndarray) -> float:

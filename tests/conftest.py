@@ -11,7 +11,7 @@ from hypothesis import settings, strategies as st
 
 import tracelaurent
 from tracelaurent import DomainError, as_matrix, cheb_eval
-from tracelaurent.core import check_points
+from tracelaurent.core import BOUNDARY_TOL, check_points
 
 # Angle grids used across the suite. GRID6 stresses both limits; GRID8_OPEN
 # stays strictly below pi/4 for the operations that require it.
@@ -174,6 +174,25 @@ def circle_pullback(m: int, n: int, theta: float) -> complex:
     zeta = math.cos(m * math.pi / (2 * n))
     a = min(m, 2 * n - m) * (math.pi / (2 * n))
     return complex(math.cos(2.0 * theta) * zeta, float(np.hypot(math.sin(a), math.sin(2.0 * theta) * zeta)))
+
+
+def arc_label(z, theta: float) -> str:
+    """One finite nonzero point's arc label by scalar cmath: the reference for `arc_membership`.
+
+    The same precedence: off the unit circle beyond BOUNDARY_TOL is outside, then
+    within BOUNDARY_TOL of an arc endpoint is boundary, then strictly between the
+    endpoints is on the open arc of the argument's sign, and the rest are outside.
+    """
+    z = complex(z)
+    if abs(abs(z) - 1.0) > BOUNDARY_TOL:
+        return "outside"
+    a = cmath.phase(z)
+    r, lo, hi = abs(a), 2.0 * theta, math.pi - 2.0 * theta
+    if abs(r - lo) <= BOUNDARY_TOL or abs(r - hi) <= BOUNDARY_TOL:
+        return "boundary"
+    if lo < r < hi:
+        return "open_plus" if a > 0.0 else "open_minus"
+    return "outside"
 
 
 PSD_TOL = 1e-10  # anti-Hermitian part and negative eigenvalue slack in psd_sqrt

@@ -233,6 +233,20 @@ class TestRootsCommand:
         assert len(doc["data"]["roots"]) == 8
         assert all(math.isfinite(entry["residual"]) for entry in doc["data"]["roots"])
 
+    @pytest.mark.parametrize("source", [("--theta", "0.3"), ("--matrix", "1+1i,0.7;0.5,0.36")], ids=["theta", "matrix"])
+    def test_all_roots_classified_in_one_call(self, capsys, monkeypatch, source):
+        # Classifying root by root made one arc_membership call per root, 128 here.
+        shapes, classify = [], cli.arc_membership
+
+        def counted(z, theta):
+            shapes.append(np.shape(z))
+            return classify(z, theta)
+
+        monkeypatch.setattr(cli, "arc_membership", counted)
+        doc = invoke_json(capsys, "roots", "--n", "64", *source)
+        assert shapes == [(128,)]
+        assert len(doc["data"]["roots"]) == 128
+
     def test_quarter_angle_exit_3(self, capsys):
         code, _, err = invoke(capsys, "roots", "--n", "2", "--theta", "pi/4")
         assert code == 3

@@ -28,6 +28,7 @@ from tracelaurent.roots import _min_gap
 from conftest import (
     DERANDOMIZED,
     GRID8_OPEN,
+    arc_label,
     circle_pullback,
     column_scale_exponents,
     match_sets,
@@ -133,8 +134,70 @@ class TestArcs:
         with pytest.raises(DomainError):
             arc_membership(1j, math.pi / 4)
         for z in (0, 0j):
-            with pytest.raises(DomainError, match="classification requires z != 0"):
+            with pytest.raises(DomainError, match="evaluation requires z != 0"):
                 arc_membership(z, math.pi / 6)
+
+
+def _unit(a):
+    return np.exp(1j * np.asarray(a))
+
+
+ARC_MATRIX = np.array([[1 + 1j, 0.7], [0.5, 0.36]])  # CLI spelling "1+1i,0.7;0.5,0.36"
+# Column exponents (p, q) near the ends of column_scale_exponents() whose normal
+# form still fits in double range (+-1000 does not), with a degree that fits too.
+ARC_SCALES = [(16, 510, -510), (16, -510, 510), (16, -510, -510), (1, 510, 510)]
+END_THETAS = (math.pi / 6, math.pi / 8, 0.3, 0.01, 0.7)
+
+
+def _arc_cases():
+    for n in (1, 16, 1024, 10 ** 4):
+        for theta in (0.0, 1e-12, 0.3, math.pi / 4 - 1e-3):
+            yield f"canonical-{n}-{theta:.3g}", lambda n=n, theta=theta: (canonical_roots(n, theta).roots, theta)
+    for n, p, q in [(64, 0, 0), *ARC_SCALES]:
+        def scaled(n=n, p=p, q=q):
+            report = matrix_roots(n, ARC_MATRIX * [2.0 ** p, 2.0 ** q])
+            return report.roots * report.dilation, report.angle
+        yield f"matrix-{n}-{p}-{q}", scaled
+    for theta in END_THETAS:
+        lo, hi = 2 * theta, math.pi - 2 * theta
+        ends = [end + d for end in (lo, hi) for d in (1e-10, -1e-10, 1.5e-10, -1.5e-10)]
+        yield f"ends-{theta:.3g}", lambda ends=ends, theta=theta: (_unit(ends + [-a for a in ends]), theta)
+    axis = np.array([complex(1.0, 0.0), complex(1.0, -0.0), complex(-1.0, 0.0), complex(-1.0, -0.0)])
+    for theta in (0.0, 0.3):
+        yield f"axis-{theta:.3g}", lambda theta=theta: (axis, theta)
+    circle = _unit(np.linspace(-math.pi, math.pi, 41))
+    for theta in (0.0, 0.3):
+        off = np.concatenate([circle * (1.0 + 2e-10), circle * (1.0 - 2e-10)])
+        yield f"off-circle-{theta:.3g}", lambda off=off, theta=theta: (off, theta)
+
+
+ARC_CASES = list(_arc_cases())
+
+
+class TestArcArrays:
+    """One array pass labels every point as the scalar cmath reference does."""
+
+    @pytest.mark.parametrize("case", [case for _, case in ARC_CASES], ids=[name for name, _ in ARC_CASES])
+    def test_matches_scalar_reference(self, case):
+        points, theta = case()
+        labels = arc_membership(points, theta)
+        assert labels.shape == points.shape
+        assert labels.tolist() == [arc_label(z, theta) for z in points]
+
+    def test_shapes(self):
+        points = canonical_roots(6, 0.3).roots.reshape(3, 4)
+        labels = arc_membership(points, 0.3)
+        assert labels.shape == (3, 4)
+        assert labels.tolist() == [[arc_label(z, 0.3) for z in row] for row in points]
+        assert type(arc_membership(1j, 0.3)) is str
+        assert type(arc_membership(np.complex128(1j), 0.3)) is str
+        listed = arc_membership([1j, -1j, 2.0], 0.3)
+        assert isinstance(listed, np.ndarray)
+        assert listed.tolist() == ["open_plus", "open_minus", "outside"]
+
+    def test_zero_anywhere_in_an_array_is_rejected(self):
+        with pytest.raises(DomainError, match="evaluation requires z != 0"):
+            arc_membership(np.array([1j, 0.0, -1j]), 0.3)
 
 
 class TestCanonicalRoots:

@@ -296,9 +296,8 @@ def _zero_point_tests(tree):
 
 
 def test_evaluation_points_read_only_in_core():
-    # core.check_points reads the finite nonzero points of LaurentPoly.eval and
-    # closed_form_eval. The scalar classifier arc_membership keeps its own `z == 0`:
-    # it is no array test, and check_points would cost it ~5 us per call.
+    # core.check_points reads the finite nonzero points of LaurentPoly.eval,
+    # closed_form_eval and arc_membership, and holds the one zero-point message.
     offenders = [
         f"{path.name}:{node.lineno}"
         for path in _modules()
@@ -307,3 +306,5 @@ def test_evaluation_points_read_only_in_core():
     ]
     assert not offenders, "read evaluation points with core.check_points: " + ", ".join(offenders)
     assert _zero_point_tests(ast.parse((PACKAGE / "core.py").read_text())), "the guard sees no zero test in core"
+    messages = [path.name for path in _modules() if "z != 0" in path.read_text()]
+    assert messages == ["core.py"], "raise the zero-point DomainError only in core.check_points: " + ", ".join(messages)
