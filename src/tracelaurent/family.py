@@ -46,12 +46,13 @@ class DegreeCapError(RuntimeError):
 def trace_power_coeffs(n: int, mat) -> LaurentPoly:
     """Coefficients of tr(S(z)^n) as the trace of T(z)^n, T(z) = [[a z, g z], [g / z, b / z]].
 
-    A projection word's trace is a^i b^j g^2k, a = |c1|^2, b = |c2|^2, g = |<c1, c2>|. T is
-    powered by squaring with direct convolutions: every entry is a sum of non-negative terms,
-    with a small relative error, and off-parity slots stay exact zeros. A table beyond double
-    range, or one of a nonzero matrix wholly below it, raises a DomainError naming the degree.
+    A projection word's trace is a^i b^j g^2k, a = |c1|^2, b = |c2|^2, g = |<c1, c2>|. Every
+    exponent of T(z)^k has k's parity, so T is powered by squaring with direct convolutions of
+    packed rows, slot i holding z^(2i - k): every entry is a sum of non-negative terms, with a
+    small relative error; off-parity slots are written as exact zeros, not computed. A table beyond
+    double range, or one of a nonzero matrix wholly below it, raises a DomainError naming the degree.
     """
-    def times(x, y):  # the product of two 2x2 matrices of dense Laurent rows, centred on their middle slots
+    def times(x, y):  # the product of two 2x2 matrices of packed rows: slot i of T^k holds z^(2i - k)
         return np.array([[np.convolve(x[i, 0], y[0, j]) + np.convolve(x[i, 1], y[1, j]) for j in (0, 1)]
                          for i in (0, 1)])
 
@@ -60,12 +61,13 @@ def trace_power_coeffs(n: int, mat) -> LaurentPoly:
     a, b, _, g, e1, e2 = _columns(m)
     with np.errstate(over="ignore", invalid="ignore"):  # the unused off-diagonal rows may overflow
         a, b, g = np.ldexp([a, b, abs(g)], [2 * e1, 2 * e2, e1 + e2])
-        step = power = np.array([[[0.0, 0.0, a], [0.0, 0.0, g]], [[g, 0.0, 0.0], [b, 0.0, 0.0]]])
+        step = power = np.array([[[0.0, a], [0.0, g]], [[g, 0.0], [b, 0.0]]])
         for bit in bin(n)[3:]:
             power = times(power, power)
             if bit == "1":
                 power = times(power, step)
-        table = power[0, 0] + power[1, 1]
+        table = np.zeros(2 * n + 1)
+        table[::2] = power[0, 0] + power[1, 1]
     check_double_range(table, "trace-power coefficients", n, nonzero=m.any())
     return LaurentPoly(n, table)
 

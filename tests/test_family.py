@@ -69,6 +69,23 @@ class TestTraceRoute:
             p = trace_power_coeffs(7, random_generic_matrix(rng))
             assert np.all(p.coeffs[1::2] == 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 1024])
+    def test_rows_are_parity_packed(self, n, monkeypatch):
+        # Every exponent of T^k has k's parity, so a row of T^k needs k + 1 slots, not the
+        # 2k + 1 of a dense Laurent row: no convolution operand has more than n slots,
+        # where dense rows of T^(n/2) have n + 1 and rows of T^(n-1) have 2n - 1.
+        sizes, convolve = [], np.convolve
+
+        def recording_convolve(x, y, *args, **kwargs):
+            sizes.extend((len(x), len(y)))
+            return convolve(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(np, "convolve", recording_convolve)
+        odd = trace_power_coeffs(n, F6).coeffs[1::2]
+        monkeypatch.undo()
+        assert sizes and max(sizes) <= n
+        assert np.all(odd == 0.0) and not np.any(np.signbit(odd.real) | np.signbit(odd.imag))
+
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):
             trace_power_coeffs(0, F6)
