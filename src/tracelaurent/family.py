@@ -48,26 +48,35 @@ def trace_power_coeffs(n: int, mat) -> LaurentPoly:
 
     A projection word's trace is a^i b^j g^2k, a = |c1|^2, b = |c2|^2, g = |<c1, c2>|. Every
     exponent of T(z)^k has k's parity, so T is powered by squaring with direct convolutions of
-    packed rows, slot i holding z^(2i - k): every entry is a sum of non-negative terms, with a
-    small relative error; off-parity slots are written as exact zeros, not computed. A table beyond
-    double range, or one of a nonzero matrix wholly below it, raises a DomainError naming the degree.
+    packed rows, slot i holding z^(2i - k). T = diag(z, 1/z) K with K symmetric, so row 10 of T^k
+    is row 01 one slot down, and three rows carry the power: a squaring takes four convolutions,
+    a last squaring that forms only the trace three, and a step by T none. Every entry is a sum of
+    non-negative terms, with a small relative error; off-parity slots are written as exact zeros,
+    not computed. A table beyond double range, or one of a nonzero matrix wholly below it, raises
+    a DomainError naming the degree.
     """
-    def times(x, y):  # the product of two 2x2 matrices of packed rows: slot i of T^k holds z^(2i - k)
-        return np.array([[np.convolve(x[i, 0], y[0, j]) + np.convolve(x[i, 1], y[1, j]) for j in (0, 1)]
-                         for i in (0, 1)])
+    def squares(p00, p01, p11):  # P00 P00, P01 P10 and P11 P11, where P10 is P01 one slot down
+        return np.convolve(p00, p00), np.append(np.convolve(p01, p01)[1:], 0.0), np.convolve(p11, p11)
 
     check_degree(n)
     m = as_matrix(mat)
     a, b, _, g, e1, e2 = _columns(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # the unused off-diagonal rows may overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # a last step's row 01, never read, may overflow
         a, b, g = np.ldexp([a, b, abs(g)], [2 * e1, 2 * e2, e1 + e2])
-        step = power = np.array([[[0.0, a], [0.0, g]], [[g, 0.0], [b, 0.0]]])
-        for bit in bin(n)[3:]:
-            power = times(power, power)
-            if bit == "1":
-                power = times(power, step)
+        p00, p01, p11 = np.array([0.0, a]), np.array([0.0, g]), np.array([b, 0.0])
+        for bit in bin(n if n % 2 else n // 2)[3:]:  # an even n ends on the trace-only squaring
+            s00, q, s11 = squares(p00, p01, p11)
+            p00, p01, p11 = s00 + q, np.convolve(p01, p00 + p11), q + s11
+            if bit == "1":  # times T: the z column moves up one slot, the 1/z column stays
+                p00, p01, p11 = (np.append(0.0, a * p00) + np.append(g * p01, 0.0),
+                                 np.append(0.0, g * p00) + np.append(b * p01, 0.0), np.append(g * p01 + b * p11, 0.0))
+        if n % 2:
+            trace = p00 + p11
+        else:
+            s00, q, s11 = squares(p00, p01, p11)
+            trace = s00 + s11 + 2.0 * q
         table = np.zeros(2 * n + 1)
-        table[::2] = power[0, 0] + power[1, 1]
+        table[::2] = trace
     check_double_range(table, "trace-power coefficients", n, nonzero=m.any())
     return LaurentPoly(n, table)
 

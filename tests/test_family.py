@@ -86,6 +86,36 @@ class TestTraceRoute:
         assert sizes and max(sizes) <= n
         assert np.all(odd == 0.0) and not np.any(np.signbit(odd.real) | np.signbit(odd.imag))
 
+    @pytest.mark.parametrize("n, calls", [(1024, 9 * 4 + 3), (255, 7 * 4), (3, 4), (1, 0)])
+    def test_three_rows_carry_the_power(self, n, calls, monkeypatch):
+        # Row 10 of T^k is row 01 one slot down, so a squaring convolves P00 P00, P01 P01,
+        # P11 P11 and P01 (P00 + P11), a last squaring that forms only the trace skips the
+        # fourth, and a step by T shifts and scales rows without a convolution. The full
+        # 2x2 product took 8 convolutions per squaring and 8 per step: 80 at n = 1024.
+        sizes, convolve = [], np.convolve
+
+        def recording_convolve(x, y, *args, **kwargs):
+            sizes.append(max(len(x), len(y)))
+            return convolve(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(np, "convolve", recording_convolve)
+        trace_power_coeffs(n, F6)
+        monkeypatch.undo()
+        assert len(sizes) == calls and max(sizes, default=0) <= n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 257, 1023, 1024, 1025])
+    def test_exact_tables_at_both_loop_ends(self, n):
+        # An odd degree ends on a step by T, an even one on the trace-only squaring. Either
+        # way angle 0 gives exactly z^n + z^-n, the zero matrix an all-+0.0 table, and every
+        # off-parity slot is +0.0.
+        pair = np.zeros(2 * n + 1)
+        pair[0] = pair[-1] = 1.0
+        assert np.array_equal(trace_power_coeffs(n, canonical_matrix(0.0)).coeffs, pair)
+        for m in (np.zeros((2, 2)), F6, np.array([[0.8 + 0.3j, 0.5], [0.4, 0.7 - 0.2j]])):
+            coeffs = trace_power_coeffs(n, m).coeffs
+            zeros = coeffs if not m.any() else coeffs[1::2]
+            assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros.real) | np.signbit(zeros.imag))
+
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):
             trace_power_coeffs(0, F6)

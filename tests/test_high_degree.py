@@ -259,19 +259,44 @@ def test_trace_power_entrywise_against_word_sums(n, theta):
     assert entrywise_error(got[::2], matrix_word_sums(n, m)) <= ENTRY_REL_TOL
 
 
-@pytest.mark.parametrize("n, theta", [(2048, 0.002), (4096, 0.001)])
-def test_trace_power_entrywise_at_high_degree(n, theta):
-    # n sin 2 theta ~ 8, where the recurrence erred by 5.6e-11 and 1.9e-10 of the peak.
-    # The reference sums the words of _columns' own rounded a', b', |g'| and exponents:
-    # the rounding of a' = cos^2 + sin^2, raised to the n-th power, can add up to n eps / 2.
+# The trace route's largest accepted degree at four angles, as ROADMAP's State table lists it.
+@pytest.mark.parametrize("theta, n", [(0.05, 7520), (math.pi / 8, 1334), (math.pi / 6, 1143),
+                                      (math.pi / 4 - 1e-3, 1029)])
+def test_trace_power_degree_limits(theta, n):
     m = canonical_matrix(theta)
-    got = trace_power_coeffs(n, m).coeffs.real
-    assert not np.any(got[1::2])
+    assert trace_power_coeffs(n, m).n == n
+    with pytest.raises(DomainError, match=f"degree {n + 1} overflow"):
+        trace_power_coeffs(n + 1, m)
+
+
+def column_word_sums(n, m):
+    """word_sum_table of the pencil of _columns' own rounded a', b', |g'| and exponents, in mpmath.
+
+    It holds the trace route to its own rounding: the rounding of a' = |c1'|^2, raised to the
+    n-th power, can add up to n eps / 2 against matrix_word_sums.
+    """
     a, b, _, g, e1, e2 = _columns(m)
     with mpmath.workdps(ENTRY_DPS):
         a, b, g = mpmath.ldexp(a, 2 * e1), mpmath.ldexp(b, 2 * e2), mpmath.ldexp(abs(g), e1 + e2)
-        want = word_sum_table(n, g ** 2 / (a * b), a, b)
-    assert entrywise_error(got[::2], want) <= ENTRY_REL_TOL
+        return word_sum_table(n, g ** 2 / (a * b), a, b)
+
+
+@pytest.mark.parametrize("n, theta", [(2048, 0.002), (4096, 0.001)])
+def test_trace_power_entrywise_at_high_degree(n, theta):
+    # n sin 2 theta ~ 8, where the recurrence erred by 5.6e-11 and 1.9e-10 of the peak.
+    m = canonical_matrix(theta)
+    got = trace_power_coeffs(n, m).coeffs.real
+    assert not np.any(got[1::2])
+    assert entrywise_error(got[::2], column_word_sums(n, m)) <= ENTRY_REL_TOL
+
+
+@pytest.mark.parametrize("n", [1025, 1024])
+def test_trace_power_entrywise_at_both_loop_ends(n):
+    # 1025 ends on a step by T, 1024 on the squaring that forms only the trace; the matrix
+    # has unequal complex columns, so the three carried rows are all distinct.
+    m = np.array([[0.8 + 0.3j, 0.5], [0.4, 0.7 - 0.2j]])
+    got = trace_power_coeffs(n, m).coeffs.real
+    assert entrywise_error(got[::2], column_word_sums(n, m)) <= ENTRY_REL_TOL
 
 
 def matrix_spec(m):
