@@ -56,7 +56,10 @@ def trace_power_coeffs(n: int, mat) -> LaurentPoly:
     a DomainError naming the degree.
     """
     def squares(p00, p01, p11):  # P00 P00, P01 P10 and P11 P11, where P10 is P01 one slot down
-        return np.convolve(p00, p00), np.append(np.convolve(p01, p01)[1:], 0.0), np.convolve(p11, p11)
+        s00, q = np.convolve(p00, p00), np.convolve(p01, p01)
+        tail = q[1:]  # moved one slot down in place, indexed without a minus sign as the route has none
+        q[: tail.size], q[tail.size] = tail, 0.0
+        return s00, q, np.convolve(p11, p11)
 
     check_degree(n)
     m = as_matrix(mat)
@@ -164,6 +167,8 @@ def _canonical_coeffs(n: int, c: float, s: float) -> np.ndarray:
     # Off the quarter turn, g_k = (1 - k^2/n^2) p_k has third difference (in steps of 2)
     # h [(k-2)(k-1) p_{k-2} - (k-5)(k-4) p_{k-4}], h = 4 s^2 / n^2, from T_n's
     # differential equation: three running sums carry it from p_{-n} = 1 to the middle.
+    # The factors h m(m+1), m = k-2 and k-5, and (n-k)(n+k) / n^2 are formed once, from integers
+    # exact in float64 while n^2 < 2^53: a step is an int loop's 7 float operations, in order.
     coeffs = np.zeros(2 * n + 1)
     if c < QUARTER_TURN_EPS:
         row = [math.comb(n, j) for j in range(n + 1)]
@@ -172,15 +177,17 @@ def _canonical_coeffs(n: int, c: float, s: float) -> np.ndarray:
         coeffs[::2] = row
         return coeffs
     h = 4.0 * s ** 2 / (n * n)
-    half = [0.0, 1.0]  # p_{-n-2}, p_{-n}
-    d2 = d1 = g = 0.0
-    for k in range(2 - n, 1, 2):
-        d2 += h * ((k - 2) * (k - 1)) * half[-1]
-        d2 -= h * ((k - 5) * (k - 4)) * half[-2]
+    m = np.arange(-3.0 - n, -1.0)  # k - 5 for k = 2 - n, .., and k - 2 three slots on
+    hm, a = (h * (m * (m + 1.0))).tolist(), np.arange(2.0, n + 1.0, 2.0)  # a = n + k
+    p4, p2, d2, d1, g, half = 0.0, 1.0, 0.0, 0.0, 0.0, [1.0]  # p_{-n-2}, p_{-n}
+    for up, down, q in zip(hm[3::2], hm[::2], (a * (2.0 * n - a) / (n * n)).tolist()):
+        d2 += up * p2
+        d2 -= down * p4
         d1 += d2
         g += d1
-        half.append(g / ((n - k) * (n + k) / (n * n)))
-    coeffs[: n + 1 : 2] = half[1:]
+        p4, p2 = p2, g / q
+        half.append(p2)
+    coeffs[: n + 1 : 2] = half
     coeffs[n + 1 :] = coeffs[n - 1 :: -1]
     check_double_range(coeffs, "closed-form coefficients", n)
     return coeffs

@@ -164,14 +164,17 @@ def comb_map(t, theta: float) -> complex:
     """
     c = check_open_angle(theta)
     tc = complex(t)
-    if tc.imag < 0.0:
+    y = tc.imag
+    if y < 0.0:
         raise DomainError("comb map is defined for Im t >= 0")
     if not cmath.isfinite(tc):
         raise DomainError("point t must be finite")
+    if y == 0.0:
+        # cmath.cos would sign the zero imaginary part by -sin t and put Phi below the
+        # cut for half the axis; (Phi, +0.0) keeps it above. |Phi| <= 1 / QUARTER_TURN_EPS.
+        return 1j * cmath.acosh(complex(math.cos(tc.real) / c, 0.0))
     try:
-        # At real t, cmath.cos would sign the zero imaginary part by -sin t and
-        # put Phi below the cut for half the axis; (Phi, +0.0) keeps it above.
-        phi = complex(math.cos(tc.real) / c, 0.0) if tc.imag == 0.0 else cmath.cos(tc) / c
+        phi = cmath.cos(tc) / c
     except OverflowError:
         phi = complex(math.inf)
     if not cmath.isfinite(phi):

@@ -4,6 +4,7 @@ reference implementations that the package's routes are checked against."""
 import cmath
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import settings, strategies as st
 
 import tracelaurent
 from tracelaurent import DomainError, as_matrix, cheb_eval
-from tracelaurent.core import BOUNDARY_TOL, check_points
+from tracelaurent.core import BOUNDARY_TOL, QUARTER_TURN_EPS, check_double_range, check_points
 
 # Angle grids used across the suite. GRID6 stresses both limits; GRID8_OPEN
 # stays strictly below pi/4 for the operations that require it.
@@ -98,6 +99,36 @@ def split_horner_loops(poly, z):
             neg = neg * w + c[i]
         out = pos + neg * w
     return complex(out[0]) if shape == () else out.reshape(shape)
+
+
+def canonical_coeffs_loop(n, c, s):
+    """family._canonical_coeffs with its integer factors formed inside the loop, as Python ints:
+    the bit-for-bit reference of the hoisted form.
+
+    The hoisted factors m(m+1) and (n-k)(n+k) are products of integers held in float64. They
+    equal this loop's Python-int products converted to float while n^2 < 2^53, that is
+    n < 9.4e7; a table there already takes over 1.5 GB.
+    """
+    coeffs = np.zeros(2 * n + 1)
+    if c < QUARTER_TURN_EPS:
+        row = [math.comb(n, j) for j in range(n + 1)]
+        if row[n // 2] > sys.float_info.max:
+            raise DomainError(f"closed-form coefficients of degree {n} overflow double range")
+        coeffs[::2] = row
+        return coeffs
+    h = 4.0 * s ** 2 / (n * n)
+    half = [0.0, 1.0]  # p_{-n-2}, p_{-n}
+    d2 = d1 = g = 0.0
+    for k in range(2 - n, 1, 2):
+        d2 += h * ((k - 2) * (k - 1)) * half[-1]
+        d2 -= h * ((k - 5) * (k - 4)) * half[-2]
+        d1 += d2
+        g += d1
+        half.append(g / ((n - k) * (n + k) / (n * n)))
+    coeffs[: n + 1 : 2] = half[1:]
+    coeffs[n + 1 :] = coeffs[n - 1 :: -1]
+    check_double_range(coeffs, "closed-form coefficients", n)
+    return coeffs
 
 
 def plain_pencil(mat):

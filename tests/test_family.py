@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import tracelaurent
 from tracelaurent import (
     DegreeCapError,
     DomainError,
@@ -17,9 +18,10 @@ from tracelaurent import (
     laurent_close,
     normal_form,
     trace_power_coeffs,
+    trig_coeffs,
 )
-from tracelaurent.family import _closed_form_matrix_coeffs, _family_values
-from conftest import GRID6, eigen_split, plain_pencil, random_generic_matrix, transfer_matrix
+from tracelaurent.family import _canonical_coeffs, _closed_form_matrix_coeffs, _family_values
+from conftest import GRID6, canonical_coeffs_loop, eigen_split, plain_pencil, random_generic_matrix, transfer_matrix
 
 F6 = canonical_matrix(math.pi / 6)
 
@@ -278,6 +280,35 @@ class TestClosedForm:
         got = _family_values(n, s * s * a, s * s * b, s * s * c, z)
         want = s ** (2 * n) * want
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    # Both loop ends and parities, the degrees around each accepted limit, and angles from
+    # 0 through the rank-one switch to the quarter turn. The quarter turn's exact binomial
+    # row, the same code in both, takes seconds at n = 7520, so it stops at n = 1335.
+    @pytest.mark.parametrize("n", [*range(1, 9), 15, 16, 17, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025,
+                                   1029, 1030, 1143, 1144, 1334, 1335, 7520, 7521])
+    def test_hoisted_recurrence_matches_the_int_loop_bit_for_bit(self, n, monkeypatch):
+        def outcomes():
+            out = []
+            for theta in (0.0, 1e-12, 1e-9, 1e-3, 0.05, 0.12, math.pi / 8, math.pi / 6, 0.7,
+                          math.pi / 4 - 1e-3, math.pi / 4)[: 11 if n <= 1335 else 10]:
+                m = canonical_matrix(theta)
+                for route, args in ((tracelaurent.family._canonical_coeffs, (math.cos(2 * theta), math.sin(2 * theta))),
+                                    (closed_form_coeffs, (theta,)), (trig_coeffs, (theta,)),
+                                    (_closed_form_matrix_coeffs, (m,)),
+                                    (_closed_form_matrix_coeffs, (m @ np.diag([1.25, 0.75]),))):
+                    try:
+                        got = route(n, *args)
+                    except DomainError as exc:
+                        out.append(str(exc))
+                    else:
+                        out.append(np.asarray(getattr(got, "coeffs", getattr(got, "cos_coeffs", got))).tobytes())
+            return out
+
+        hoisted = outcomes()
+        for module in (tracelaurent.family, tracelaurent.trig):
+            monkeypatch.setattr(module, "_canonical_coeffs", canonical_coeffs_loop)
+        assert hoisted == outcomes()
+        assert tracelaurent.family._canonical_coeffs is canonical_coeffs_loop is not _canonical_coeffs
 
     def test_angle_range_checked(self):
         with pytest.raises(DomainError):

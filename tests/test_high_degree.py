@@ -269,6 +269,16 @@ def test_trace_power_degree_limits(theta, n):
         trace_power_coeffs(n + 1, m)
 
 
+# The closed form's largest accepted degree at the same four angles and at 1e-3, as ROADMAP's
+# State table lists it; at 1e-3 each call takes under 0.1 s.
+@pytest.mark.parametrize("theta, n", [(0.05, 7520), (math.pi / 8, 1334), (math.pi / 6, 1143),
+                                      (math.pi / 4 - 1e-3, 1029), (1e-3, 360116)])
+def test_closed_form_degree_limits(theta, n):
+    assert closed_form_coeffs(n, theta).n == n
+    with pytest.raises(DomainError, match=f"degree {n + 1} overflow"):
+        closed_form_coeffs(n + 1, theta)
+
+
 def column_word_sums(n, m):
     """word_sum_table of the pencil of _columns' own rounded a', b', |g'| and exponents, in mpmath.
 
