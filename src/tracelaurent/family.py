@@ -26,7 +26,7 @@ from .chebyshev import _scaled_cheb
 from .chebyshev import cheb_eval  # noqa: F401
 from .core import QUARTER_TURN_EPS
 from .core import DomainError, LaurentPoly, as_matrix, check_angle, check_degree, check_double_range, check_points
-from .normal_form import _columns, _reduce
+from .normal_form import _columns, _generic_columns
 
 __all__ = [
     "DegreeCapError",
@@ -171,10 +171,9 @@ def _canonical_coeffs(n: int, c: float, s: float) -> np.ndarray:
     # exact in float64 while n^2 < 2^53: a step is an int loop's 7 float operations, in order.
     coeffs = np.zeros(2 * n + 1)
     if c < QUARTER_TURN_EPS:
-        row = [math.comb(n, j) for j in range(n + 1)]
-        if row[n // 2] > sys.float_info.max:
+        if math.comb(n, n // 2) > sys.float_info.max:  # the middle binomial first, the row only if it fits
             raise DomainError(f"closed-form coefficients of degree {n} overflow double range")
-        coeffs[::2] = row
+        coeffs[::2] = [math.comb(n, j) for j in range(n + 1)]
         return coeffs
     h = 4.0 * s ** 2 / (n * n)
     m = np.arange(-3.0 - n, -1.0)  # k - 5 for k = 2 - n, .., and k - 2 three slots on
@@ -203,8 +202,8 @@ def _closed_form_matrix_coeffs(n: int, mat) -> LaurentPoly:
     and ceil x with the column exponents is applied last and exactly, by ldexp.
     A table beyond double range, or wholly below it, raises a DomainError.
     """
-    _, (a, b, det, overlap, e1, e2) = _reduce(mat)
     check_degree(n)
+    a, b, det, overlap, e1, e2 = _generic_columns(mat)
     root = math.sqrt(a * b)
     base = _canonical_coeffs(n, det / root, abs(overlap) / root)
     i = np.arange(2 * n + 1)  # entry 2j - n sits at i = 2j

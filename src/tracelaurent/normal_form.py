@@ -84,12 +84,17 @@ def normal_form(mat) -> NormalForm:
     return _reduce(mat)[0]
 
 
-def _reduce(mat):
-    # normal_form's one pass, and the column read that matrix_roots' residuals share.
-    m = as_matrix(mat)
-    a, b, det, overlap, e1, e2 = columns = _columns(m)
-    if not (a > 0.0 and b > 0.0):
+def _generic_columns(mat):
+    # The one read of a generic matrix: _columns of as_matrix(mat), a zero column rejected.
+    columns = _columns(as_matrix(mat))
+    if not (columns[0] > 0.0 and columns[1] > 0.0):
         raise DomainError("non-generic matrix: a column is zero")
+    return columns
+
+
+def _reduce(mat):
+    # normal_form's one pass over _generic_columns, whose read matrix_roots' residuals share.
+    a, b, det, overlap, e1, e2 = columns = _generic_columns(mat)
     with np.errstate(over="ignore"):  # NormalForm names a norm out of range
         r1, r2 = np.ldexp(np.sqrt([a, b]), [e1, e2]).tolist()
     mag = abs(overlap)
@@ -98,19 +103,15 @@ def _reduce(mat):
 
 
 def canonical_matrix(theta: float, phase=None) -> np.ndarray:
-    """Unit-column symmetric representative with column overlap sin(2 theta).
+    """Unit-column representative [[cos, phase*sin], [conj(phase)*sin, cos]] of theta.
 
-    With the default phase the matrix is real:
-    [[cos theta, sin theta], [sin theta, cos theta]]. A unit `phase` rotates
-    the off-diagonal pair to [cos, phase*sin; conj(phase)*sin, cos], which is
-    the square root of the Gram matrix [[1, g], [conj(g), 1]] with
-    g = phase * sin(2 theta).
+    It is the square root of the Gram matrix [[1, g], [conj(g), 1]] with column
+    overlap g = phase * sin(2 theta). The default phase is 1, which gives the real
+    symmetric [[cos theta, sin theta], [sin theta, cos theta]], bit for bit.
     """
     theta = float(theta)
     check_angle(theta)
     c, s = math.cos(theta), math.sin(theta)
-    if phase is None:
-        return as_matrix([[c, s], [s, c]])
-    phase = complex(phase)
+    phase = 1.0 + 0j if phase is None else complex(phase)  # at phase 1 the real matrix, signed zeros too
     check_unit_phase(phase)
     return as_matrix([[c, phase * s], [phase.conjugate() * s, c]])

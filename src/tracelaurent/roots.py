@@ -58,12 +58,10 @@ def arc_membership(z, theta: float):
 
 
 def _min_gap(roots: np.ndarray) -> float:
-    # In pullback order the neighbours in angle are consecutive upper roots,
-    # consecutive lower roots, and the two conjugate pairs that straddle the
-    # real axis at angles ~pi (the first pair) and ~0 (the last pair).
-    upper, lower = roots[0::2], roots[1::2]
-    steps = np.concatenate([np.diff(upper), np.diff(lower), roots[[0, -2]] - roots[[1, -1]]])
-    return float(np.abs(steps).min())
+    # In pullback order the neighbours in angle are consecutive upper roots, their exact conjugates
+    # (the same gaps, bit for bit), and the first and last conjugate pairs, each 2 |Im z| apart.
+    upper = roots[0::2]
+    return float(np.concatenate([np.abs(np.diff(upper)), 2.0 * np.abs(upper[[0, -1]].imag)]).min())
 
 
 @dataclass(frozen=True)

@@ -111,10 +111,9 @@ def canonical_coeffs_loop(n, c, s):
     """
     coeffs = np.zeros(2 * n + 1)
     if c < QUARTER_TURN_EPS:
-        row = [math.comb(n, j) for j in range(n + 1)]
-        if row[n // 2] > sys.float_info.max:
+        if math.comb(n, n // 2) > sys.float_info.max:
             raise DomainError(f"closed-form coefficients of degree {n} overflow double range")
-        coeffs[::2] = row
+        coeffs[::2] = [math.comb(n, j) for j in range(n + 1)]
         return coeffs
     h = 4.0 * s ** 2 / (n * n)
     half = [0.0, 1.0]  # p_{-n-2}, p_{-n}

@@ -161,6 +161,24 @@ class TestCoeffs:
         assert (code, out) == (3, "")
         assert "zero" in err
 
+    @pytest.mark.parametrize("spec", ["1e-200,0;0,1e150", "1e160,0;0,1e160", "1e-170,0.3e-170;0.2e-170,1e-170"])
+    @pytest.mark.parametrize("n", ["1", "2", "16"])
+    def test_closed_form_of_an_extreme_scale_matrix_matches_the_trace_route(self, capsys, spec, n):
+        # The closed route used to build the matrix's normal form and drop it, so a scale or
+        # dilation beyond double range stopped it, even at n = 1 where the trace route prints
+        # "1e-200,0;0,1e150". It fails now only where its own table leaves double range.
+        argv = ["coeffs", "--n", n, "--matrix", spec, "--format", "csv"]  # CSV: no `inputs` echo
+        code, out, err = invoke(capsys, *argv)
+        for extra in (("--method", "closed"), ("--method", "closed", "--verify"), ("--verify",)):
+            got = invoke(capsys, *argv, *extra)
+            assert "normal-form" not in got[2]
+            if code == 0:
+                assert got == (code, out, err)
+            else:
+                failed = err if extra == ("--verify",) else err.replace("trace-power", "closed-form")
+                assert got == (3, "", failed)
+        assert (code == 0) == (n == "1" and spec == "1e-200,0;0,1e150")
+
     def test_brute_cap_exit_2(self, capsys):
         code, _, err = invoke(
             capsys, "coeffs", "--n", "17", "--theta", "pi/6", "--method", "brute"

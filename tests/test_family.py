@@ -1,5 +1,6 @@
 """Trace-power family: the three routes against each other and by hand."""
 
+import importlib
 import itertools
 import math
 import warnings
@@ -24,6 +25,8 @@ from tracelaurent.family import _canonical_coeffs, _closed_form_matrix_coeffs, _
 from conftest import GRID6, canonical_coeffs_loop, eigen_split, plain_pencil, random_generic_matrix, transfer_matrix
 
 F6 = canonical_matrix(math.pi / 6)
+# The package's `normal_form` attribute is the function; this is its module.
+NF_MODULE = importlib.import_module("tracelaurent.normal_form")
 
 
 class TestTransfer:
@@ -238,6 +241,16 @@ class TestClosedForm:
         p = closed_form_coeffs(3, math.pi / 4)
         assert np.all(p.coeffs == np.array([1, 0, 3, 0, 3, 0, 1], dtype=complex))
 
+    @pytest.mark.parametrize("n", [1030, 1335, 7521])
+    def test_quarter_angle_overflow_is_named_before_the_row_is_built(self, n, monkeypatch):
+        # The row of n + 1 exact binomials took 4.3 s at n = 7521 just to raise.
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
+        with pytest.raises(DomainError, match=f"degree {n} overflow"):
+            closed_form_coeffs(n, math.pi / 4)
+        assert calls == [(n, n // 2)]
+
     def test_central_coefficient_formula(self):
         # p_0 at degree 2 is 2 sin^2(2 theta), read off the expansion.
         for theta in (0.1, math.pi / 8, math.pi / 6, 0.7):
@@ -262,6 +275,21 @@ class TestClosedForm:
             a, b = closed_form_eval(5, theta, z), p.eval(z)
             assert np.all(abs(a - b) <= 1e-10 * (1.0 + np.maximum(abs(a), abs(b))))
 
+    def test_matrix_table_needs_no_normal_form(self, monkeypatch):
+        # The route reads the matrix's columns only. It used to build a NormalForm and drop it,
+        # so the normal form's scale and dilation checks stopped tables the trace route prints.
+        m, wide = canonical_matrix(0.3) @ np.diag([1.25, 0.75]), np.array([[1e-200, 0.0], [0.0, 1e150]])
+        want = _closed_form_matrix_coeffs(16, m).coeffs.tobytes()
+
+        def refuse(*args):
+            raise AssertionError("a NormalForm was built")
+
+        monkeypatch.setattr(NF_MODULE, "NormalForm", refuse)
+        with pytest.raises(AssertionError, match="NormalForm"):
+            normal_form(m)
+        assert _closed_form_matrix_coeffs(16, m).coeffs.tobytes() == want
+        assert _closed_form_matrix_coeffs(1, wide).coeffs.tobytes() == trace_power_coeffs(1, wide).coeffs.tobytes()
+
     def test_matrix_table_underflow_is_named(self):
         # The rescaled canonical table of a tiny matrix lies wholly below
         # double range; it used to come back as all zeros.
@@ -282,15 +310,15 @@ class TestClosedForm:
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     # Both loop ends and parities, the degrees around each accepted limit, and angles from
-    # 0 through the rank-one switch to the quarter turn. The quarter turn's exact binomial
-    # row, the same code in both, takes seconds at n = 7520, so it stops at n = 1335.
+    # 0 through the rank-one switch to the quarter turn. The quarter turn, the same code in
+    # both, tests the middle binomial before it builds the row, so it runs at n = 7521 too.
     @pytest.mark.parametrize("n", [*range(1, 9), 15, 16, 17, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025,
                                    1029, 1030, 1143, 1144, 1334, 1335, 7520, 7521])
     def test_hoisted_recurrence_matches_the_int_loop_bit_for_bit(self, n, monkeypatch):
         def outcomes():
             out = []
             for theta in (0.0, 1e-12, 1e-9, 1e-3, 0.05, 0.12, math.pi / 8, math.pi / 6, 0.7,
-                          math.pi / 4 - 1e-3, math.pi / 4)[: 11 if n <= 1335 else 10]:
+                          math.pi / 4 - 1e-3, math.pi / 4):
                 m = canonical_matrix(theta)
                 for route, args in ((tracelaurent.family._canonical_coeffs, (math.cos(2 * theta), math.sin(2 * theta))),
                                     (closed_form_coeffs, (theta,)), (trig_coeffs, (theta,)),

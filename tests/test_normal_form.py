@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tracelaurent import DomainError, NormalForm, canonical_matrix, matrix_roots, normal_form
+from tracelaurent import DomainError, NormalForm, as_matrix, canonical_matrix, matrix_roots, normal_form
+from tracelaurent.family import _closed_form_matrix_coeffs
 from conftest import (
     DERANDOMIZED,
     column_scale_exponents,
@@ -111,6 +112,14 @@ class TestOnePass:
         mats = [random_generic_matrix(rng), BASE * [1e-160, 1e140], BASE * [1e155, 1e-150], [[3.0, 5.0], [4.0, 12.0]]]
         for count, mat in enumerate(mats, start=1):
             matrix_roots(4, mat)
+            assert calls == {"as_matrix": count, "_columns": count}
+
+    def test_closed_form_table_reads_its_matrix_once(self, calls):
+        # The closed route takes the validated column read alone, with no normal form.
+        rng = np.random.default_rng(3)
+        mats = [random_generic_matrix(rng), BASE * [1e-160, 1e140], [[1e-200, 0.0], [0.0, 1e150]], [[3.0, 5.0], [4.0, 12.0]]]
+        for count, mat in enumerate(mats, start=1):
+            _closed_form_matrix_coeffs(1, mat)
             assert calls == {"as_matrix": count, "_columns": count}
 
 
@@ -385,6 +394,13 @@ class TestCanonical:
 
     def test_zero_angle_is_identity(self):
         assert canonical_matrix(0.0) == pytest.approx(np.eye(2))
+
+    def test_default_phase_is_phase_one_bit_for_bit(self):
+        # One construction: the default reads as phase 1, whose matrix is the real one, signed zeros included.
+        for theta in np.linspace(0.0, math.pi / 4, 101).tolist():
+            c, s = math.cos(theta), math.sin(theta)
+            want = as_matrix([[c, s], [s, c]]).tobytes()
+            assert canonical_matrix(theta).tobytes() == canonical_matrix(theta, 1).tobytes() == want
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):

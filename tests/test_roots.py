@@ -253,8 +253,9 @@ class TestCanonicalRoots:
 
     def test_min_gap_is_pairwise_minimum(self):
         # The report reads the gap off neighbours in pullback order: consecutive
-        # upper roots, consecutive lower roots and the two conjugate pairs at
-        # the ends. On one circle that is the minimum over all pairs.
+        # upper roots (their conjugates repeat those gaps) and the two conjugate
+        # pairs at the ends, 2 |Im z| apart. On one circle that is the minimum
+        # over all pairs, and equal to it bit for bit.
         rng = np.random.default_rng(87)
         reports = [
             canonical_roots(n, theta)
@@ -276,7 +277,8 @@ class TestCanonicalRoots:
     def test_min_gap_counts_the_conjugate_pairs_at_both_ends(self, angles):
         # A ring in pullback order, upper roots with real parts ascending, each
         # followed by its conjugate, whose closest pair straddles the real axis
-        # at angle ~pi (first case) or ~0 (second): the chord 2 sin(angle).
+        # at angle ~pi (first case) or ~0 (second): the chord 2 sin(angle), which
+        # the gap reads as 2 |Im z| of the first or last upper root.
         ring = np.empty(8, dtype=complex)
         ring[0::2] = np.exp(1j * np.array(angles))
         ring[1::2] = ring[0::2].conj()
