@@ -53,7 +53,7 @@ def trace_power_coeffs(n: int, mat) -> LaurentPoly:
     a last squaring that forms only the trace three, and a step by T none. Every entry is a sum of
     non-negative terms, with a small relative error; off-parity slots are written as exact zeros,
     not computed. A table beyond double range, or one of a nonzero matrix wholly below it, raises
-    a DomainError naming the degree.
+    a DomainError naming the degree, before any powering where a bound on tr K^n settles it.
     """
     def squares(p00, p01, p11):  # P00 P00, P01 P10 and P11 P11, where P10 is P01 one slot down
         s00, q = np.convolve(p00, p00), np.convolve(p01, p01)
@@ -64,8 +64,15 @@ def trace_power_coeffs(n: int, mat) -> LaurentPoly:
     check_degree(n)
     m = as_matrix(mat)
     a, b, _, g, e1, e2 = _columns(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # a last step's row 01, never read, may overflow
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # log 0; an unread last row 01 may overflow
         a, b, g = np.ldexp([a, b, abs(g)], [2 * e1, 2 * e2, e1 + e2])
+        # The n + 1 entries are >= 0 and sum to tr K^n, K = [[a, g], [g, b]], in [lo^n, 2 hi^n] for
+        # lo = (a + b)/2 + g and hi = max(a, b) + g: past double range by a factor e, raise unpowered.
+        log_lo, log_hi = n * np.log([(a + b) / 2.0 + g, max(a, b) + g])
+        if log_lo > math.log(sys.float_info.max) + math.log(math.e * (n + 1)):
+            raise DomainError(f"trace-power coefficients of degree {n} overflow double range")
+        if log_hi + math.log(2.0 * math.e) < math.log(sys.float_info.min) and m.any():
+            raise DomainError(f"trace-power coefficients of degree {n} underflow double range")
         p00, p01, p11 = np.array([0.0, a]), np.array([0.0, g]), np.array([b, 0.0])
         for bit in bin(n if n % 2 else n // 2)[3:]:  # an even n ends on the trace-only squaring
             s00, q, s11 = squares(p00, p01, p11)

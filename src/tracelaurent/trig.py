@@ -45,18 +45,6 @@ class TrigPoly:
         check_degree(self.n)
         object.__setattr__(self, "cos_coeffs", _frozen(self.cos_coeffs, float, (self.n + 1,), "cosine coefficients"))
 
-    def eval(self, t):
-        """Value at real or complex t: scalar in, scalar out; array in, array out.
-
-        One numpy pass sums cos_coeffs[k] cos(k t) over k. A NaN or infinite t
-        raises a DomainError, and so does a value beyond double range.
-        """
-        check_finite(t, "point t")
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.cos(np.multiply.outer(t, np.arange(self.n + 1))) @ self.cos_coeffs
-        check_double_range(values, "cosine polynomial values", self.n)
-        return values.item() if np.ndim(values) == 0 else values
-
 
 def trig_coeffs(n: int, theta: float) -> TrigPoly:
     """Cosine coefficients of the circle restriction: p_k / c^n, c = cos 2 theta, p_0 halved.

@@ -228,7 +228,6 @@ POINT_CALLS = [
     ("closed_form_eval", lambda z: tl.closed_form_eval(3, 0.3, z)),
     ("closed_form_eval array", lambda z: tl.closed_form_eval(3, 0.3, np.array([1j, z]))),
     ("arc_membership", lambda z: tl.arc_membership(z, 0.3)),
-    ("TrigPoly.eval", lambda z: tl.TrigPoly(2, [1.0, 0.5, 0.25]).eval(z)),
     ("comb_map", lambda z: tl.comb_map(z, 0.3)),
     ("IntervalSystem.contains", lambda z: tl.IntervalSystem(0.3, 0, 0).contains(z)),
 ]

@@ -269,6 +269,24 @@ def test_trace_power_degree_limits(theta, n):
         trace_power_coeffs(n + 1, m)
 
 
+# Past the limit by far, the bound on tr K^n refuses before any powering. Powering first took
+# 4.1-4.6 s to overflow at (100000, 0.1) and 0.62-0.74 s to underflow at n = 40,000 on a 1e-100
+# matrix (process time, 2-core machine).
+@pytest.mark.parametrize("n, m, way", [(100000, canonical_matrix(0.1), "overflow"),
+                                       (40000, np.array([[1e-100, 0.3e-100], [0.2e-100, 1e-100]]), "underflow")])
+def test_trace_power_refuses_out_of_range_before_powering(n, m, way, monkeypatch):
+    calls, convolve = [], np.convolve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    with pytest.raises(DomainError, match=f"^trace-power coefficients of degree {n} {way} double range$"):
+        trace_power_coeffs(n, m)
+    assert not calls
+
+
 # The closed form's largest accepted degree at the same four angles and at 1e-3, as ROADMAP's
 # State table lists it; at 1e-3 each call takes under 0.1 s.
 @pytest.mark.parametrize("theta, n", [(0.05, 7520), (math.pi / 8, 1334), (math.pi / 6, 1143),

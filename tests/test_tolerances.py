@@ -7,10 +7,11 @@ a small float literal or a validator defined anywhere else, on a named
 tolerance that no code reads, on an imported name that its module, test
 file or demo never reads, on a private function that the package itself
 never reads, on a public function, class or method that neither the package
-nor a demo reads, on a Chebyshev log form outside `chebyshev`, on a matrix
-determinant outside `normal_form`, on a subtraction in the trace route, on
-a numpy call in the scalar hot path `trig.comb_map`, and on a read-only array
-or an array test for zero evaluation points built outside `core`.
+nor a demo reads, on a public method name that two public classes define, on
+a Chebyshev log form outside `chebyshev`, on a matrix determinant outside
+`normal_form`, on a subtraction in the trace route, on a numpy call in the
+scalar hot path `trig.comb_map`, and on a read-only array or an array test
+for zero evaluation points built outside `core`.
 """
 
 import ast
@@ -160,12 +161,29 @@ UNREAD_PUBLIC = {
     "contains",
 }
 
+# Public method names that two or more public classes define, each with the reason it is kept.
+SHARED_PUBLIC_METHODS: dict[str, str] = {}
+
 
 def test_every_public_member_is_used_in_the_package():
     # A public function, class or method that only tests reach is a test
     # helper in the public API. Re-exports in `__init__` and `__all__` do not
     # count as reads; a call or another read in the package or a demo does.
+    # A read of a method name cannot tell which class's method it reaches, so
+    # a public method name belongs to one public class unless allowlisted.
     trees = [ast.parse(path.read_text()) for path in _modules()]
+    owners = {}
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for node in cls.body:
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                        owners.setdefault(node.name, []).append(cls.name)
+    shared = {name for name, classes in owners.items() if len(classes) > 1}
+    extra, stale = shared - SHARED_PUBLIC_METHODS.keys(), SHARED_PUBLIC_METHODS.keys() - shared
+    named = [f"{name} ({', '.join(owners[name])})" for name in sorted(extra)]
+    assert not extra, "public methods of several classes: " + ", ".join(named)
+    assert not stale, "allowlisted shared methods now defined once or gone: " + ", ".join(sorted(stale))
     demos = [ast.parse(path.read_text()) for path in sorted((REPO / "demos").glob("*.py"))]
     assert demos, "demos not found"
     defined = {

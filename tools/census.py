@@ -6,8 +6,8 @@ another checkout to take that one's census, then `diff` the two outputs):
 
 A CLI case runs `tracelaurent.cli.run(argv)` in this process and prints its exit code, the
 sha256 of its stdout, the first line of its stderr and its argv: the benchmark's
-`perfbench.workloads.cli_ops` of seeds 101-110, and every command by --theta and by
---matrix, in JSON and CSV. A library case prints the sha256 of the bytes it returns, or
+`perfbench.workloads.cli_ops` of seeds 101-110, every command by --theta and by --matrix,
+and trace tables far past double range, in JSON and CSV. A library case prints the sha256 of the bytes it returns, or
 the type and text of what it raises, then its name.
 """
 
@@ -38,6 +38,8 @@ ROOT_DEGREES = (1, 2, 3, 7, 16, 64, 255, 256, 1024, 4096)
 ROOT_ANGLES = (0.0, 1e-12, 1e-3, 0.05, math.pi / 8, 0.3, math.pi / 6, math.pi / 4 - 1e-3, math.pi / 4)
 PHASES = (None, 1.0, 1j, complex(math.cos(1.1), math.sin(1.1)), -1.0)
 QUARTER_DEGREES = (1, 2, 3, 16, 255, 1024, 1029, 1030, 1335)
+# Trace tables far past double range at n = 20000, above it and below it.
+PAST_LIMIT = (("--theta", "0.1"), ("--matrix=1e-100,0.3e-100;0.2e-100,1e-100",))
 
 
 def digest(data: bytes) -> str:
@@ -57,6 +59,7 @@ def cli_argvs() -> list[tuple]:
             argvs += [("eval", "--n", n, "--theta", theta, "--z", "0.6+0.8i"), ("trig", "--n", n, "--theta", theta)]
     argvs += [("comb", "--theta", theta, "--samples", "33") for theta in THETAS]
     argvs += [("normal-form", "--matrix=" + m) for m in MATRICES]
+    argvs += [("coeffs", "--n", "20000", *source) for source in PAST_LIMIT]
     argvs = [argv + fmt for argv in argvs for fmt in ((), ("--format", "csv"))]
     return list(dict.fromkeys(argvs))
 
